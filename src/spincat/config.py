@@ -2,6 +2,7 @@
 
 import difflib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import jsonschema
@@ -94,6 +95,9 @@ def validate_config(data: dict, source: str = "<config>") -> ExperimentConfig:
     for key in data:
         if key not in CONFIG_SCHEMA["properties"]:
             raise ConfigError(f"{source}: unknown key '{key}'{_suggest(key)}")
+        value = data[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{source}: {key}: {value} is not a finite number")
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.path))
     if errors:

@@ -13,7 +13,6 @@ from math import lgamma, exp
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class SpinSystem:
 
 def is_hermitian(M, tol=HERMITICITY_TOL):
     return np.abs(M - M.conj().T).max() <= tol
-
-
-def is_unitary(M, tol=UNITARITY_TOL):
-    return np.abs(M @ M.conj().T - np.eye(M.shape[0])).max() <= tol
 
 
 def require_hermitian(M, what="operator"):
@@ -123,6 +118,12 @@ def tensor_keys(sys: SpinSystem):
     """Fixed (K, Q) ordering used for coefficient vectors."""
     twoI = round(2 * sys.I)
     return [(K, Q) for K in range(twoI + 1) for Q in range(-K, K + 1)]
+
+
+def tensor_stack(sys: SpinSystem) -> np.ndarray:
+    """(d^2, d, d) array of the tensor operators in tensor_keys order."""
+    basis = spherical_tensor_basis(sys)
+    return np.array([basis[kq] for kq in tensor_keys(sys)])
 
 
 def _lnfact(n):

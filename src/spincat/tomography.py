@@ -7,20 +7,30 @@ N steps with receiver phases -(q+1) * phase and summing isolates the
 contribution of the coherence order q of the input density matrix (the
 detected coherence order is -1, hence the q+1).
 
-Stacking the cycled line amplitudes of a spanning set of cycles gives a
-linear system A x = B for the irreducible-tensor coefficients of rho.
-The identity component produces no spectral lines under any rotation, so
-a trace-constraint row completes the system to full column rank d^2.
+Every detected line amplitude is linear in rho, so a pulse set compiles
+into one measurement map M acting on vec(rho): one row per cycled line
+(the detection rows of the cycle's pulses, averaged) plus a trace row.
+`measure` is M vec(rho) plus seeded line noise, and the design matrix is
+M applied to the stacked tensor operators T_KQ.  The identity component
+produces no spectral lines under any rotation, so the trace row
+completes the system to full column rank d^2.
+
+"fid" mode detects the lines at the start of acquisition, after they
+have precessed through the receiver-protection delay 1/nu_Q.  This is
+the exact closed form of a noise-free least-squares fit of the sampled
+free induction decay to the known line frequencies; T2 decay cancels in
+that fit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian,
-                       spherical_tensor_basis, tensor_keys, require_hermitian)
-from .dynamics import NmrParams, quadrupolar_hamiltonian, QuadrupolarParams
+from .spin_ops import (SpinSystem, angular_momentum, tensor_keys, tensor_stack,
+                       require_hermitian)
+from .dynamics import NmrParams
 
+# Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
 FID_POINTS = 4096
 FID_DWELL = 12e-6
 SVD_CUTOFF = 1e-10
@@ -52,6 +62,7 @@ class DesignSystem:
     keys: list                # (L, m) column labels
     condition_number: float
     rank: int
+    pinv: np.ndarray          # (d^2, n_measurements) pseudo-inverse of matrix
 
 
 class TomographyRankError(ValueError):
@@ -113,63 +124,57 @@ def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
     return (nu_Q / 2) * (2 * ms + 1)
 
 
-def _pulse_propagator(sys: SpinSystem, pulse: TomographyPulse) -> np.ndarray:
+def _detection_rows(sys: SpinSystem, pulses, nmr: NmrParams, mode: str) -> np.ndarray:
+    """(n_pulses, 2I, d^2) rows whose product with vec(rho) gives each
+    pulse's line amplitudes e^{i alpha} (U rho U^dag)_{j,j-1} (I+)_{j-1,j}.
+
+    U = Rz(phi) Rx(theta) Rz(-phi) with Rz(phi) = exp(-i phi Iz), so one
+    eigendecomposition of Ix serves every pulse.  In "fid" mode line j
+    carries its precession e^{i omega_j / nu_Q} through the delay 1/nu_Q.
+    """
     ops = angular_momentum(sys)
-    axis = ops.Ix * np.cos(pulse.phi_qst) + ops.Iy * np.sin(pulse.phi_qst)
-    return expm_hermitian(axis, pulse.theta_qst)
+    theta, phi, alpha = np.array([(p.theta_qst, p.phi_qst, p.alpha_qst)
+                                  for p in pulses], dtype=float).T
+    gain = np.exp(1j * alpha)[:, None] * np.diagonal(ops.Iplus, 1)
+    if mode == "fid":
+        nu_Q = nmr.omega_Q / (2 * np.pi)
+        omega = 2 * np.pi * _line_frequencies(sys, nu_Q)
+        gain = gain * np.exp(1j * omega / nu_Q)
+    elif mode != "coherence":
+        raise ValueError(f"unknown mode {mode!r}")
+    lam, V = np.linalg.eigh(ops.Ix)
+    Rx = np.einsum("ak,pk,bk->pab", V, np.exp(-1j * np.outer(theta, lam)), V.conj())
+    ms = sys.m_values
+    U = Rx * np.exp(-1j * phi[:, None, None] * (ms[:, None] - ms[None, :]))
+    rows = gain[:, :, None, None] * U[:, 1:, :, None] * U[:, :-1, None, :].conj()
+    return rows.reshape(len(pulses), sys.d - 1, sys.d ** 2)
 
 
-def _coherence_amplitudes(sys: SpinSystem, rho_rotated: np.ndarray) -> np.ndarray:
-    """Detected single-quantum amplitudes rho'_{j,j-1} (I+)_{j-1,j}."""
-    ops = angular_momentum(sys)
-    d = sys.d
-    return np.array([rho_rotated[j, j - 1] * ops.Iplus[j - 1, j] for j in range(1, d)])
+def _measurement_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
+    """M of shape (n_cycles 2I + 1, d^2): cycle-averaged detection rows
+    stacked cycle by cycle, then the trace row vec(1)."""
+    rows = [_detection_rows(sys, cycle, nmr, mode).mean(axis=0) for cycle in cycles]
+    return np.vstack(rows + [np.eye(sys.d).reshape(1, -1)])
 
 
 def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse,
-                        nmr: NmrParams, mode: str = "coherence",
-                        n_points: int = FID_POINTS, dwell: float = FID_DWELL,
-                        t2: float | None = None) -> SpectrumLines:
+                        nmr: NmrParams, mode: str = "coherence") -> SpectrumLines:
     """Line spectrum observed after one tomography pulse.
 
-    "coherence" mode reads the single-quantum coherences directly;
-    "fid" mode evolves through the pre-acquisition delay 1/nu_Q, samples
-    the complex transverse signal at the given dwell time, and recovers
-    the line amplitudes by least-squares projection onto the known line
-    frequencies (optionally with a Lorentzian T2 decay).
+    "coherence" mode reads the single-quantum coherences directly; "fid"
+    mode reads them at the start of acquisition, after the
+    pre-acquisition delay 1/nu_Q.
     """
     require_hermitian(rho, "density matrix")
-    nu_Q = nmr.omega_Q / (2 * np.pi)
-    freqs = _line_frequencies(sys, nu_Q)
-    U = _pulse_propagator(sys, pulse)
-    rho_rot = U @ rho @ U.conj().T
-    phase = np.exp(1j * pulse.alpha_qst)
+    freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
+    return SpectrumLines(freqs, _detection_rows(sys, [pulse], nmr, mode)[0] @ rho.ravel())
 
-    if mode == "coherence":
-        amps = _coherence_amplitudes(sys, rho_rot) * phase
-        return SpectrumLines(freqs, amps)
-    if mode == "fid":
-        tau_pre = 1.0 / nu_Q
-        t = np.arange(n_points) * dwell
-        base = _coherence_amplitudes(sys, rho_rot) * phase
-        omega_lines = 2 * np.pi * freqs
-        # each line rotates at its transition frequency through the
-        # receiver-protection delay and the acquisition window
-        start = base * np.exp(1j * omega_lines * tau_pre)
-        sig = np.exp(1j * np.outer(t, omega_lines)) * start[None, :]
-        if t2 is not None:
-            sig = sig * np.exp(-(tau_pre + t) / t2)[:, None]
-        s = sig.sum(axis=1)
-        # exact line-amplitude extraction: least-squares fit of the sampled
-        # signal to the known complex exponentials (removes DFT leakage)
-        basis = np.exp(1j * np.outer(t, omega_lines))
-        if t2 is not None:
-            basis = basis * np.exp(-t / t2)[:, None]
-        amps, *_ = np.linalg.lstsq(basis, s, rcond=None)
-        if t2 is not None:
-            amps = amps * np.exp(tau_pre / t2)
-        return SpectrumLines(freqs, amps)
-    raise ValueError(f"unknown mode {mode!r}")
+
+def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
+    """Complex Gaussian noise of standard deviation sigma, drawn as
+    (real, imaginary) pairs in one call."""
+    noise = rng.normal(scale=sigma / np.sqrt(2), size=(*shape, 2))
+    return noise[..., 0] + 1j * noise[..., 1]
 
 
 def add_line_noise(lines: SpectrumLines, sigma: float, seed) -> SpectrumLines:
@@ -178,9 +183,8 @@ def add_line_noise(lines: SpectrumLines, sigma: float, seed) -> SpectrumLines:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return lines
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(scale=sigma / np.sqrt(2), size=(len(lines.amplitudes), 2))
-    return replace(lines, amplitudes=lines.amplitudes + noise[:, 0] + 1j * noise[:, 1])
+    noise = _complex_noise(np.random.default_rng(seed), sigma, lines.amplitudes.shape)
+    return replace(lines, amplitudes=lines.amplitudes + noise)
 
 
 def jitter_nmr_params(nmr: NmrParams, seed, bound_hz: float = NUQ_JITTER_HZ) -> NmrParams:
@@ -190,64 +194,42 @@ def jitter_nmr_params(nmr: NmrParams, seed, bound_hz: float = NUQ_JITTER_HZ) -> 
     return replace(nmr, omega_Q=nmr.omega_Q + 2 * np.pi * rng.uniform(-bound_hz, bound_hz))
 
 
-def _cycle_amplitudes(sys, rho, cycle, nmr, mode, sigma=0.0, rng=None):
-    acc = None
-    for pulse in cycle:
-        lines = synthesize_spectrum(sys, rho, pulse, nmr, mode=mode)
-        amps = lines.amplitudes
-        if sigma > 0:
-            noise = rng.normal(scale=sigma / np.sqrt(2), size=(len(amps), 2))
-            amps = amps + noise[:, 0] + 1j * noise[:, 1]
-        acc = amps if acc is None else acc + amps
-    return acc / len(cycle)
-
-
 def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
             mode: str = "coherence", noise_sigma: float = 0.0, seed=None) -> np.ndarray:
     """Stacked cycled line amplitudes plus the trace-constraint entry.
 
     noise_sigma is expressed as a fraction of the largest noise-free line
     amplitude over the whole measurement set and is applied per acquired
-    spectrum (before cycle summation).
+    spectrum (before cycle summation), drawn pulse by pulse in cycle order.
     """
-    clean = [_cycle_amplitudes(sys, rho, c, nmr, mode) for c in cycles]
+    require_hermitian(rho, "density matrix")
+    B = _measurement_map(sys, cycles, nmr, mode) @ rho.ravel()
     if noise_sigma > 0:
-        scale = max(np.abs(np.concatenate(clean)).max(), 1e-300) * noise_sigma
-        rng = np.random.default_rng(seed)
-        noisy = [_cycle_amplitudes(sys, rho, c, nmr, mode, sigma=scale, rng=rng)
-                 for c in cycles]
-        stacked = np.concatenate(noisy)
-    else:
-        stacked = np.concatenate(clean)
-    return np.concatenate([stacked, [np.trace(rho)]])
+        scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma
+        sizes = np.array([len(cycle) for cycle in cycles])
+        noise = _complex_noise(np.random.default_rng(seed), scale,
+                               (sizes.sum(), sys.d - 1))
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        B[:-1] += (np.add.reduceat(noise, starts) / sizes[:, None]).ravel()
+    return B
 
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
     """Columns are the measurement vectors of the unit-coefficient tensor
-    operators; rows are cycled line amplitudes plus the trace row."""
+    operators; rows are cycled line amplitudes plus the trace row.  One SVD
+    gives the rank, the conditioning and the pseudo-inverse."""
     keys = tensor_keys(sys)
-    basis = spherical_tensor_basis(sys)
-    cols = []
-    for key in keys:
-        T = basis[key]
-        Th = (T + T.conj().T) / 2
-        Ta = (T - T.conj().T) / 2j
-        # measurement is linear in rho; split the non-Hermitian basis
-        # operator into Hermitian parts to reuse the Hermitian-only path
-        col = (measure(sys, Th, cycles, nmr, mode)
-               + 1j * measure(sys, Ta, cycles, nmr, mode))
-        cols.append(col)
-    A = np.array(cols).T
-    svals = np.linalg.svd(A, compute_uv=False)
+    A = _measurement_map(sys, cycles, nmr, mode) @ tensor_stack(sys).reshape(len(keys), -1).T
+    U, svals, Vh = np.linalg.svd(A)
     rank = int((svals > SVD_CUTOFF * svals[0]).sum())
     if rank < len(keys):
-        _, _, Vh = np.linalg.svd(A)
         null = Vh[rank:]
         null_keys = [keys[i] for i in range(len(keys))
                      if np.abs(null[:, i]).max() > 1e-6]
         raise TomographyRankError(rank, len(keys), null_keys)
-    return DesignSystem(A, keys, float(svals[0] / svals[-1]), rank)
+    pinv = (Vh.conj().T / svals) @ U[:, :rank].conj().T
+    return DesignSystem(A, keys, float(svals[0] / svals[-1]), rank, pinv)
 
 
 def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
@@ -256,11 +238,8 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
     reports coefficients, the Hermitian residual and conditioning."""
     if len(B) != design.matrix.shape[0]:
         raise ValueError("measurement vector length does not match design matrix")
-    X = np.linalg.pinv(design.matrix, rcond=SVD_CUTOFF) @ B
-    basis = spherical_tensor_basis(sys)
-    raw = np.zeros((sys.d, sys.d), dtype=complex)
-    for x, key in zip(X, design.keys):
-        raw += x * basis[key]
+    X = design.pinv @ B
+    raw = np.tensordot(X, tensor_stack(sys), axes=1)
     rho = (raw + raw.conj().T) / 2
     info = {
         "coefficients": dict(zip(design.keys, X)),

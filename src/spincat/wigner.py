@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sph_harm_y
 
-from .spin_ops import SpinSystem, spherical_tensor_basis, tensor_keys, require_hermitian
+from .spin_ops import SpinSystem, spherical_tensor_basis, require_hermitian
 
 MIN_GRID = 8
 
@@ -21,15 +21,6 @@ def tensor_expectations(sys: SpinSystem, rho: np.ndarray) -> dict:
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
     basis = spherical_tensor_basis(sys)
     return {kq: complex(np.trace(rho @ t.conj().T)) for kq, t in basis.items()}
-
-
-def expansion_to_matrix(sys: SpinSystem, coeffs: dict) -> np.ndarray:
-    """Rebuild the matrix sum_KQ c_KQ T_KQ from its tensor coefficients."""
-    basis = spherical_tensor_basis(sys)
-    out = np.zeros((sys.d, sys.d), dtype=complex)
-    for kq, c in coeffs.items():
-        out += c * basis[kq]
-    return out
 
 
 def spherical_harmonic(K: int, Q: int, theta, phi):

@@ -81,9 +81,22 @@ def test_cli_presets_list(capsys):
         assert name in out
 
 
-def test_cli_run_outputs_and_determinism(tmp_path):
+@pytest.mark.parametrize("field", ["varphi", "vartheta", "nu_Q", "epsilon",
+                                   "noise_sigma"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_exit_code(tmp_path, capsys, field, literal):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(GOOD)[:-1] + f', "{field}": {literal}}}')
+    assert main(["validate", "--config", str(p)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+def test_cli_run_outputs_and_determinism(tmp_path, mode):
     cfg = {**GOOD, "checkpoints": [1], "n_theta": 16, "n_phi": 16,
-           "noise_sigma": 0.02, "seed": 5}
+           "noise_sigma": 0.02, "seed": 5, "mode": mode}
     p = write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", "--config", str(p), "--out", str(out1)]) == 0

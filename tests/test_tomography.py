@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spincat.dynamics import NmrParams
-from spincat.spin_ops import SpinSystem, spherical_tensor_basis
+from spincat.spin_ops import SpinSystem, angular_momentum, spherical_tensor_basis
 from spincat.states import cat_state, coherent_state, fidelity, projector
 from spincat.tomography import (FID_DWELL, FID_POINTS, SpectrumLines,
-                                TomographyRankError, add_line_noise,
-                                build_design_matrix, coherence_cycle,
-                                jitter_nmr_params, measure, pulse_set,
-                                reconstruct, run_tomography,
+                                TomographyPulse, TomographyRankError,
+                                add_line_noise, build_design_matrix,
+                                coherence_cycle, jitter_nmr_params, measure,
+                                pulse_set, reconstruct, run_tomography,
                                 synthesize_spectrum, zero_order_cycle)
 
 NU_Q = 15220.0
@@ -125,21 +126,69 @@ def test_noisy_reconstruction_quality(design):
 
 
 def test_fid_mode_defaults_and_consistency():
-    pulse = zero_order_cycle(SYS)[0]
-    rho = projector(coherent_state(SYS, np.pi / 2, 0.3))
-    direct = synthesize_spectrum(SYS, rho, pulse, NMR, mode="coherence")
-    fid = synthesize_spectrum(SYS, rho, pulse, NMR, mode="fid")
+    # fid mode reads each line after the delay 1/nu_Q, through which it
+    # precesses by e^{i pi (2m+1)}: +1 for half-integer spin, -1 for
+    # integer spin; the closed form needs no decay or sampling parameters
     assert FID_POINTS == 4096
     assert FID_DWELL == 12e-6
-    assert np.abs(direct.amplitudes - fid.amplitudes).max() < 1e-10
+    for spin, factor in ((1.5, 1.0), (2.0, -1.0)):
+        sys = SpinSystem(spin)
+        for pulse, rho in ((zero_order_cycle(sys)[0],
+                            projector(coherent_state(sys, np.pi / 2, 0.3))),
+                           (zero_order_cycle(sys)[1],
+                            projector(cat_state(sys, np.pi / 2, 0.0, 1)))):
+            direct = synthesize_spectrum(sys, rho, pulse, NMR, mode="coherence")
+            fid = synthesize_spectrum(sys, rho, pulse, NMR, mode="fid")
+            assert np.abs(factor * direct.amplitudes - fid.amplitudes).max() < 1e-10
 
 
-def test_fid_mode_with_decay():
-    pulse = zero_order_cycle(SYS)[1]
-    rho = projector(cat_state(SYS, np.pi / 2, 0.0, 1))
-    direct = synthesize_spectrum(SYS, rho, pulse, NMR, mode="coherence")
-    fid = synthesize_spectrum(SYS, rho, pulse, NMR, mode="fid", t2=5e-3)
-    assert np.abs(direct.amplitudes - fid.amplitudes).max() < 1e-8
+def test_fid_mode_aliased_lines_reconstruct():
+    # at nu_Q = 1/(2 dwell) the +nu_Q and -nu_Q lines alias in the sampled
+    # decay; the detected amplitudes still determine rho
+    nmr = NmrParams(0.0, 0.0, 2 * np.pi / (2 * FID_DWELL))
+    rho = random_density(np.random.default_rng(7))
+    rec, _ = run_tomography(SYS, rho, nmr, mode="fid")
+    assert np.abs(rec - rho).max() < 1e-9
+
+
+@pytest.mark.parametrize("spin", [1.5, 3.5])
+def test_synthesize_spectrum_matches_expm_reference(spin):
+    sys = SpinSystem(spin)
+    ops = angular_momentum(sys)
+    rng = np.random.default_rng(11)
+    rho = random_density(rng, sys.d)
+    lower = np.arange(1, sys.d)
+    for _ in range(20):
+        theta, phi, alpha = rng.uniform(0, 2 * np.pi, size=3)
+        U = expm(-1j * theta * (np.cos(phi) * ops.Ix + np.sin(phi) * ops.Iy))
+        rot = U @ rho @ U.conj().T
+        expected = (np.exp(1j * alpha) * rot[lower, lower - 1]
+                    * ops.Iplus[lower - 1, lower])
+        lines = synthesize_spectrum(sys, rho, TomographyPulse(theta, phi, alpha), NMR)
+        assert np.abs(lines.amplitudes - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("spin", [1.5, 3.5])
+def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
+    # the noise is one default_rng(seed) draw of (real, imaginary) pairs for
+    # every line of every pulse, in cycle order, averaged within each cycle
+    sys = SpinSystem(spin)
+    cycles = pulse_set(sys)
+    rho = random_density(np.random.default_rng(12), sys.d)
+    sigma, seed = 0.05, (4, 2)
+    clean = measure(sys, rho, cycles, NMR)
+    noisy = measure(sys, rho, cycles, NMR, noise_sigma=sigma, seed=seed)
+    scale = sigma * np.abs(clean[:-1]).max()
+    n_pulses = sum(len(c) for c in cycles)
+    draw = np.random.default_rng(seed).normal(scale=scale / np.sqrt(2),
+                                              size=(n_pulses, sys.d - 1, 2))
+    draw = draw[..., 0] + 1j * draw[..., 1]
+    expected, start = [], 0
+    for cycle in cycles:
+        expected.append(draw[start:start + len(cycle)].mean(axis=0))
+        start += len(cycle)
+    expected = clean + np.concatenate(expected + [[0.0]])
+    assert np.abs(noisy - expected).max() < 1e-12
 
 
 def test_add_line_noise_contracts():
@@ -162,7 +211,6 @@ def test_jitter_bound():
 
 def test_equilibrium_line_ratios():
     # Iz deviation after a pi/2 pulse gives the 3:4:3 multiplet of I = 3/2
-    from spincat.spin_ops import angular_momentum
     Iz = angular_momentum(SYS).Iz.real
     pulse = zero_order_cycle(SYS)[3]  # phi = 0 pulse
     lines = synthesize_spectrum(SYS, Iz, pulse, NMR)
