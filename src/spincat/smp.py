@@ -11,12 +11,11 @@ Iz deviation into an effective pure-state deviation.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .spin_ops import SpinSystem, angular_momentum
+from .spin_ops import SpinSystem, angular_momentum, expm_hermitian
 from .states import projector, traceless_part
 from .dynamics import NmrParams, nmr_hamiltonian
 
@@ -76,16 +75,13 @@ class PulseSequence:
 
 
 def segment_hamiltonian(sys: SpinSystem, seg: PulseSegment, nmr: NmrParams) -> np.ndarray:
-    from dataclasses import replace
     return nmr_hamiltonian(sys, replace(nmr, omega_1=seg.omega, upsilon=seg.phase))
 
 
 def sequence_propagator(sys: SpinSystem, seq: PulseSequence, nmr: NmrParams) -> np.ndarray:
     U = np.eye(sys.d, dtype=complex)
     for seg in seq.segments:
-        H = segment_hamiltonian(sys, seg, nmr)
-        lam, V = np.linalg.eigh(H)
-        U = (V * np.exp(-1j * lam * seg.duration)) @ V.conj().T @ U
+        U = expm_hermitian(segment_hamiltonian(sys, seg, nmr), seg.duration) @ U
     return U
 
 
@@ -115,68 +111,67 @@ def temporal_average(sys: SpinSystem, variants, rho0: np.ndarray,
 def _batched_segment_propagators(H_static, ops, x, dt):
     """Propagators and their parameter derivatives for every segment.
 
-    x has shape (n_seq, n_seg, 2) = (amplitude, phase).  Returns U and the
-    Frechet derivatives dU/domega, dU/dphase, all (n_seq, n_seg, d, d).
+    x has shape (n_seq, n_seg, 2) = (amplitude, phase).  Returns U, shape
+    (n_seq, n_seg, d, d), and the Frechet derivatives dU/d(amplitude, phase),
+    shape (n_seq, n_seg, 2, d, d).
     """
-    w = x[..., 0]
-    ph = x[..., 1]
-    Ix, Iy = ops.Ix, ops.Iy
-    axis = np.cos(ph)[..., None, None] * Ix + np.sin(ph)[..., None, None] * Iy
-    daxis = -np.sin(ph)[..., None, None] * Ix + np.cos(ph)[..., None, None] * Iy
-    H = H_static + w[..., None, None] * axis
-    lam, V = np.linalg.eigh(H)
+    w = x[..., 0, None, None]
+    cos = np.cos(x[..., 1])[..., None, None]
+    sin = np.sin(x[..., 1])[..., None, None]
+    axis = cos * ops.Ix + sin * ops.Iy
+    dH = np.stack([axis, w * (-sin * ops.Ix + cos * ops.Iy)], axis=2)
+    lam, V = np.linalg.eigh(H_static + w * axis)
     e = np.exp(-1j * lam * dt)
-    U = (V * e[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
+    Vh = np.swapaxes(V, -1, -2).conj()
+    U = (V * e[..., None, :]) @ Vh
     # Loewner kernel for the Frechet derivative of exp(-i H dt)
     L = lam[..., :, None] - lam[..., None, :]
     num = e[..., :, None] - e[..., None, :]
     small = np.abs(L) < 1e-12 * np.maximum(1.0, np.abs(lam).max())
     mid = np.exp(-1j * dt * (lam[..., :, None] + lam[..., None, :]) / 2)
     G = np.where(small, -1j * dt * mid, num / np.where(small, 1.0, L))
-    Vh = np.swapaxes(V, -1, -2).conj()
-
-    def frechet(dH):
-        M = Vh @ dH @ V
-        return V @ (G * M) @ Vh
-
-    return U, frechet(axis), frechet(w[..., None, None] * daxis)
+    V, Vh, G = V[:, :, None], Vh[:, :, None], G[:, :, None]
+    return U, V @ (G * (Vh @ dH @ V)) @ Vh
 
 
 def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants, n_seg):
     """Negative fidelity of the temporal-averaged evolved deviation against
-    the target deviation, with its exact gradient."""
-    x = x.reshape(n_variants, n_seg, 2)
-    d = sys.d
-    U, dUw, dUp = _batched_segment_propagators(H_static, ops, x, dt)
+    the target deviation, with its exact gradient in GRAPE form: segment k's
+    derivative sits between the products of the segments before and after it."""
+    U, dU = _batched_segment_propagators(H_static, ops, x.reshape(n_variants, n_seg, 2), dt)
+    # pre[:, k] = U_{k-1} ... U_0 and suf[:, k] = U_{n_seg-1} ... U_k
+    pre = np.empty((n_variants, n_seg + 1, sys.d, sys.d), dtype=complex)
+    suf = np.empty_like(pre)
+    pre[:, 0] = suf[:, n_seg] = np.eye(sys.d)
+    for k, j in zip(range(n_seg), reversed(range(n_seg))):
+        pre[:, k + 1] = U[:, k] @ pre[:, k]
+        suf[:, j] = suf[:, j + 1] @ U[:, j]
+    Utot = pre[:, -1]
+    Utot_h = np.swapaxes(Utot, -1, -2).conj()
+    rho_bar = (Utot @ rho0 @ Utot_h).mean(axis=0)
     nt = np.linalg.norm(target)
-    rho_bar = np.zeros((d, d), dtype=complex)
-    per = []
-    for v in range(n_variants):
-        pre = [np.eye(d, dtype=complex)]
-        for k in range(n_seg):
-            pre.append(U[v, k] @ pre[-1])
-        Utot = pre[-1]
-        suf = [np.eye(d, dtype=complex)]
-        for k in range(n_seg - 1, -1, -1):
-            suf.append(suf[-1] @ U[v, k])
-        suf = suf[::-1]
-        per.append((pre, suf, Utot))
-        rho_bar += Utot @ rho0 @ Utot.conj().T
-    rho_bar /= n_variants
     a = np.trace(rho_bar @ target).real
     b = np.trace(rho_bar @ rho_bar).real
     F = a / (np.sqrt(b) * nt)
     # dF = Tr(drho_bar M) with M the derivative of the normalized overlap
     M = target / (np.sqrt(b) * nt) - (a / (nt * b ** 1.5)) * rho_bar
-    grad = np.zeros((n_variants, n_seg, 2))
-    for v in range(n_variants):
-        pre, suf, Utot = per[v]
-        rU = rho0 @ Utot.conj().T @ M
-        for k in range(n_seg):
-            right = pre[k] @ rU @ suf[k + 1]
-            grad[v, k, 0] = 2 * np.einsum("ij,ji->", dUw[v, k], right).real / n_variants
-            grad[v, k, 1] = 2 * np.einsum("ij,ji->", dUp[v, k], right).real / n_variants
+    right = pre[:, :-1] @ (rho0 @ Utot_h @ M)[:, None] @ suf[:, 1:]
+    grad = 2 * np.einsum("vkcij,vkji->vkc", dU, right).real / n_variants
     return -F, -grad.ravel()
+
+
+def _problem(sys, nmr, target_state, rho0):
+    """(ops, H_static, rho0, target): H_static leaves out the RF term, rho0
+    defaults to the Iz deviation, target is the target state's deviation."""
+    ops = angular_momentum(sys)
+    H_static = nmr_hamiltonian(sys, NmrParams(nmr.omega_L, nmr.omega_RF, nmr.omega_Q))
+    if rho0 is None:
+        rho0 = ops.Iz.copy()
+    return ops, H_static, rho0, traceless_part(projector(target_state))
+
+
+class _BudgetSpent(Exception):
+    """Raised by the objective to stop L-BFGS-B once the budget is spent."""
 
 
 @dataclass
@@ -193,12 +188,9 @@ class SmpResult:
 
 def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg,
                        rho0=None):
-    """Exposed objective/gradient hook for finite-difference checks."""
-    ops = angular_momentum(sys)
-    H_static = nmr_hamiltonian(sys, nmr)
-    if rho0 is None:
-        rho0 = ops.Iz.copy()
-    target = traceless_part(projector(target_state))
+    """The objective and gradient optimize_smp minimises, exposed for
+    finite-difference checks; x carries the RF, so nmr's RF term is ignored."""
+    ops, H_static, rho0, target = _problem(sys, nmr, target_state, rho0)
     return _objective_and_gradient(np.asarray(x, float), sys, H_static, ops,
                                    delta_t, rho0, target, n_variants, n_seg)
 
@@ -212,59 +204,63 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
     that carry the equilibrium Iz deviation into the target state's
     deviation under temporal averaging.
 
-    budget caps the total number of objective evaluations across all
-    starts; budget = 0 returns the first initial guess unchanged.
-    Deterministic for a fixed seed.
+    L-BFGS-B runs from up to n_starts random start points in turn until
+    budget objective evaluations, counted across all starts, are spent;
+    the result is the best point evaluated.  budget = 0 returns the first
+    start point unchanged, with its fidelity.  Deterministic for a fixed
+    seed.
     """
-    if n_segments < 1:
-        raise ValueError("need at least one segment")
+    from scipy.optimize import minimize
+
+    if n_segments < 1 or n_variants < 1:
+        raise ValueError("need at least one segment and one variant")
     if amplitude_cap <= 0:
         raise ValueError("amplitude cap leaves no rotation capability")
-    ops = angular_momentum(sys)
-    H_static = nmr_hamiltonian(sys, NmrParams(nmr.omega_L, nmr.omega_RF, nmr.omega_Q))
-    if rho0 is None:
-        rho0 = ops.Iz.copy()
-    target = traceless_part(projector(target_state))
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    ops, H_static, rho0, target = _problem(sys, nmr, target_state, rho0)
+    rng = np.random.default_rng(seed)
+    shape = (n_variants, n_segments)
+
+    def start_point():
+        return np.stack([rng.uniform(0.3, 1.0, size=shape) * amplitude_cap,
+                         rng.uniform(0, 2 * np.pi, size=shape)], axis=-1).ravel()
+
+    def objective(x):
+        return _objective_and_gradient(x, sys, H_static, ops, delta_t, rho0,
+                                       target, n_variants, n_segments)
 
     history = []
-    evals = [0]
+    best_f, best_x = np.inf, None
 
     def fun(x):
-        f, g = _objective_and_gradient(x, sys, H_static, ops, delta_t, rho0,
-                                       target, n_variants, n_segments)
-        evals[0] += 1
-        history.append(min(history[-1], f) if history else f)
+        nonlocal best_f, best_x
+        if len(history) == budget:
+            raise _BudgetSpent
+        f, g = objective(x)
+        if f < best_f:
+            best_f, best_x = f, x.copy()
+        history.append(best_f)
         return f, g
 
-    rng = np.random.default_rng(seed)
-    bounds = [(0.0, amplitude_cap), (None, None)] * (n_variants * n_segments)
-    best_x = None
-    best_f = np.inf
-    for _ in range(max(1, n_starts)):
-        x0 = np.empty((n_variants, n_segments, 2))
-        x0[..., 0] = rng.uniform(0.3, 1.0, size=(n_variants, n_segments)) * amplitude_cap
-        x0[..., 1] = rng.uniform(0, 2 * np.pi, size=(n_variants, n_segments))
-        x0 = x0.ravel()
-        if best_x is None:
-            best_x = x0
-            if budget > 0:
-                best_f = fun(x0)[0]
-        remaining = budget - evals[0]
-        if remaining <= 0:
-            break
-        res = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxfun": remaining, "maxiter": remaining,
-                                "ftol": 1e-14, "gtol": 1e-11})
-        if res.fun < best_f:
-            best_f, best_x = res.fun, res.x
     if budget == 0:
-        best_f = _objective_and_gradient(best_x, sys, H_static, ops, delta_t,
-                                         rho0, target, n_variants, n_segments)[0]
+        best_x = start_point()
+        best_f = objective(best_x)[0]
+    else:
+        bounds = [(0.0, amplitude_cap), (None, None)] * (n_variants * n_segments)
+        # maxfun/maxiter at budget: scipy's defaults (15000) would end a start early
+        try:
+            for _ in range(max(1, n_starts)):
+                minimize(fun, start_point(), jac=True, method="L-BFGS-B", bounds=bounds,
+                         options={"maxfun": budget, "maxiter": budget,
+                                  "ftol": 1e-14, "gtol": 1e-11})
+        except _BudgetSpent:
+            pass
 
-    xb = best_x.reshape(n_variants, n_segments, 2)
+    xb = best_x.reshape(shape + (2,))
     variants = []
     for v in range(n_variants):
         segs = [PulseSegment(max(0.0, xb[v, k, 0]), xb[v, k, 1] % (2 * np.pi), delta_t)
                 for k in range(n_segments)]
         variants.append(PulseSequence(segs, {"variant": v, "fidelity": -best_f}))
-    return SmpResult(variants, -best_f, history, evals[0])
+    return SmpResult(variants, -best_f, history, len(history))

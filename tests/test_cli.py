@@ -1,10 +1,15 @@
 """Configuration validation and command-line entry points."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spincat
 from spincat.cli import main
 from spincat.config import (ConfigError, PRESETS, get_preset, load_config,
                             validate_config)
@@ -135,3 +140,14 @@ def test_cli_seed_override(tmp_path):
     main(["run", "--config", str(p), "--out", str(out2), "--seed", "2"])
     assert ((out1 / "rho_1.json").read_bytes()
             != (out2 / "rho_1.json").read_bytes())
+
+
+def test_cli_import_leaves_out_optimizer():
+    # only optimize_smp needs scipy.optimize, and importing it costs a
+    # third of the CLI's start-up
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, spincat.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

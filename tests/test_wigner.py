@@ -76,6 +76,21 @@ def test_coherent_state_peak_location():
     assert min(ph, 2 * np.pi - ph) < 2 * np.pi / grid.n_phi
 
 
+@pytest.mark.parametrize("shift,expected_phi", [(1e-16, 0.0), (-1e-16, 0.0),
+                                                (1e-9, np.pi)])
+def test_grid_argmax_ties_pick_first_node(shift, expected_phi):
+    # two lobes of equal height at phi = 0 and pi on the equator: a
+    # round-off difference does not choose between them, a real one does
+    theta = np.linspace(0.2, np.pi - 0.2, 9)
+    phi = np.arange(16) * 2 * np.pi / 16
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    values = 0.25 * np.sin(tt) ** 4 * np.cos(pp) ** 2
+    assert values[4, 0] == values[4, 8] == values.max()
+    values[4, 8] += shift
+    grid = WignerGrid(theta, phi, values, np.full(9, 0.1))
+    assert grid_argmax(grid) == (theta[4], expected_phi)
+
+
 def test_cat_state_equatorial_oscillations():
     # an I = 3/2 cat has 2I = 3 maxima and 3 minima around the equator
     sys = SpinSystem(1.5)
