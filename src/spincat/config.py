@@ -16,7 +16,7 @@ CONFIG_SCHEMA = {
     "required": ["spin", "nu_Q", "p", "checkpoints"],
     "properties": {
         "name": {"type": "string"},
-        "spin": {"type": "number", "exclusiveMinimum": 0},
+        "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20},
         "nu_Q": {"type": "number", "exclusiveMinimum": 0},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "p": {"type": "integer"},

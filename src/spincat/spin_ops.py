@@ -8,7 +8,6 @@ angular-frequency units (rad/s).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, exp
 
 import numpy as np
 
@@ -80,38 +79,45 @@ def angular_momentum(sys: SpinSystem) -> SpinOperators:
 
 
 @lru_cache(maxsize=None)
-def _tensor_basis_cached(twoI: int):
-    """Orthonormal irreducible tensor operators T_KQ, Tr(T_KQ^dag T_K'Q') = dd.
+def _tensor_stack_cached(twoI: int) -> np.ndarray:
+    """Orthonormal irreducible tensor operators T_KQ, Tr(T_KQ^dag T_K'Q') = dd,
+    stacked as one read-only (d^2, d, d) array with T_KQ at K^2 + K + Q.
 
-    T_KK is proportional to (-1)^K Iplus^K; lower orders follow from the
-    commutator ladder [I-, T_KQ] = sqrt(K(K+1)-Q(Q-1)) T_K,Q-1, which
-    preserves Frobenius norms (adjoint action of su(2) is unitary on the
-    operator space).
+    T_KQ lives on the entries t_ij with j - i = Q, where the Casimir
+    sum_a [I_a, [I_a, t]] = K(K+1) t is a symmetric tridiagonal matrix:
+    diagonal 2I(I+1) - 2 m_i m_j, off-diagonal -a_i a_j with a the
+    superdiagonal of I+.  Its eigenvectors, in ascending order, are
+    T_KQ for K = |Q|..2I; each is signed so that its first entry has the
+    sign (-1)^max(Q, 0), the phase of T_KK ~ (-1)^K Iplus^K.
     """
-    ops = _angular_momentum_cached(twoI)
-    basis = {}
-    for K in range(twoI + 1):
-        t = np.linalg.matrix_power(ops.Iplus, K)
-        t = (-1) ** K * t / np.linalg.norm(t)
-        basis[(K, K)] = t
-        for Q in range(K, -K, -1):
-            t = (ops.Iminus @ t - t @ ops.Iminus) / np.sqrt(K * (K + 1) - Q * (Q - 1))
-            basis[(K, Q - 1)] = t
-    for t in basis.values():
-        t.setflags(write=False)
-    return basis
+    I, d = twoI / 2, twoI + 1
+    ms = I - np.arange(d)
+    a = np.diagonal(_angular_momentum_cached(twoI).Iplus, 1).real
+    stack = np.zeros((d * d, d, d), dtype=complex)
+    for Q in range(-twoI, twoI + 1):
+        rows = np.arange(max(0, -Q), d - max(0, Q))
+        cols = rows + Q
+        off = -a[rows[:-1]] * a[cols[:-1]]
+        diag = 2 * I * (I + 1) - 2 * ms[rows] * ms[cols]
+        _, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        V *= (-1) ** max(Q, 0) * np.sign(V[0])
+        K = np.arange(abs(Q), twoI + 1)
+        stack[(K * K + K + Q)[:, None], rows, cols] = V.T
+    stack.setflags(write=False)
+    return stack
 
 
 def spherical_tensor_basis(sys: SpinSystem) -> dict:
-    """All (2I+1)^2 orthonormal tensor operators keyed by (K, Q)."""
-    return _tensor_basis_cached(round(2 * sys.I))
+    """All (2I+1)^2 orthonormal tensor operators keyed by (K, Q), as
+    read-only views of the cached stack in a fresh dict."""
+    return dict(zip(tensor_keys(sys), tensor_stack(sys)))
 
 
 def spherical_tensor(sys: SpinSystem, K: int, Q: int) -> np.ndarray:
     twoI = round(2 * sys.I)
     if not (0 <= K <= twoI) or not (-K <= Q <= K):
         raise ValueError(f"rank/order ({K},{Q}) out of range for I={sys.I}")
-    return _tensor_basis_cached(twoI)[(K, Q)]
+    return _tensor_stack_cached(twoI)[K * K + K + Q]
 
 
 def tensor_keys(sys: SpinSystem):
@@ -121,13 +127,8 @@ def tensor_keys(sys: SpinSystem):
 
 
 def tensor_stack(sys: SpinSystem) -> np.ndarray:
-    """(d^2, d, d) array of the tensor operators in tensor_keys order."""
-    basis = spherical_tensor_basis(sys)
-    return np.array([basis[kq] for kq in tensor_keys(sys)])
-
-
-def _lnfact(n):
-    return lgamma(n + 1)
+    """Read-only (d^2, d, d) array of the tensor operators in tensor_keys order."""
+    return _tensor_stack_cached(round(2 * sys.I))
 
 
 def reduced_wigner_d(L, theta: float) -> np.ndarray:
@@ -139,26 +140,7 @@ def reduced_wigner_d(L, theta: float) -> np.ndarray:
     twoL = round(2 * L)
     if abs(2 * L - twoL) > 1e-12 or twoL < 0:
         raise ValueError(f"rank must be a non-negative half-integer, got {L}")
-    dim = twoL + 1
-    ms = L - np.arange(dim)
-    c = np.cos(theta / 2)
-    s = np.sin(theta / 2)
-    out = np.zeros((dim, dim))
-    for a, mp in enumerate(ms):
-        for b, m in enumerate(ms):
-            kmin = max(0, round(m - mp))
-            kmax = round(min(L + m, L - mp))
-            pref = 0.5 * (_lnfact(L + mp) + _lnfact(L - mp) + _lnfact(L + m) + _lnfact(L - m))
-            val = 0.0
-            for k in range(kmin, kmax + 1):
-                ln = pref - (_lnfact(k) + _lnfact(L + m - k) + _lnfact(L - mp - k)
-                             + _lnfact(mp - m + k))
-                pc = round(2 * L + m - mp - 2 * k)
-                ps = round(mp - m + 2 * k)
-                term = exp(ln) * c ** pc * s ** ps
-                val += -term if (k + round(mp - m)) % 2 else term
-            out[a, b] = val
-    return out
+    return expm_hermitian(_angular_momentum_cached(twoL).Iy, theta).real
 
 
 def expm_hermitian(H: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -23,6 +23,7 @@ that fit.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,9 +153,17 @@ def _detection_rows(sys: SpinSystem, pulses, nmr: NmrParams, mode: str) -> np.nd
 
 def _measurement_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
     """M of shape (n_cycles 2I + 1, d^2): cycle-averaged detection rows
-    stacked cycle by cycle, then the trace row vec(1)."""
+    stacked cycle by cycle, then the trace row vec(1).  Read-only and
+    compiled once per (spin, cycles, nmr, mode)."""
+    return _compiled_map(sys, tuple(map(tuple, cycles)), nmr, mode)
+
+
+@lru_cache(maxsize=4)
+def _compiled_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
     rows = [_detection_rows(sys, cycle, nmr, mode).mean(axis=0) for cycle in cycles]
-    return np.vstack(rows + [np.eye(sys.d).reshape(1, -1)])
+    M = np.vstack(rows + [np.eye(sys.d).reshape(1, -1)])
+    M.setflags(write=False)
+    return M
 
 
 def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse,
@@ -221,7 +230,7 @@ def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
     gives the rank, the conditioning and the pseudo-inverse."""
     keys = tensor_keys(sys)
     A = _measurement_map(sys, cycles, nmr, mode) @ tensor_stack(sys).reshape(len(keys), -1).T
-    U, svals, Vh = np.linalg.svd(A)
+    U, svals, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int((svals > SVD_CUTOFF * svals[0]).sum())
     if rank < len(keys):
         null = Vh[rank:]

@@ -3,6 +3,11 @@
 W(theta, phi) = sqrt((2I+1)/4pi) sum_KQ <T_KQ> Y_KQ(theta, phi), evaluated
 on a Gauss-Legendre (in cos theta) x uniform (in phi) grid.  With the
 orthonormal tensor convention the map integrates to exactly Tr(rho).
+
+The coefficients <T_KQ> are one product of the tensor stack with vec(rho).
+As Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, a grid map is separable:
+harmonics on the polar nodes, then one product with e^{iQ phi}, which is
+exact for any n_phi where an FFT over phi would fold orders |Q| >= n_phi/2.
 """
 
 from dataclasses import dataclass
@@ -10,17 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sph_harm_y
 
-from .spin_ops import SpinSystem, spherical_tensor_basis, require_hermitian
+from .spin_ops import SpinSystem, require_hermitian, tensor_keys, tensor_stack
 
 MIN_GRID = 8
 
 
-def tensor_expectations(sys: SpinSystem, rho: np.ndarray) -> dict:
-    """Coefficients Tr(rho T_KQ^dag) for every (K, Q)."""
+def _coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
+    """Tr(rho T_KQ^dag) in tensor_keys order, as one product with vec(rho)."""
     if rho.shape != (sys.d, sys.d):
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    basis = spherical_tensor_basis(sys)
-    return {kq: complex(np.trace(rho @ t.conj().T)) for kq, t in basis.items()}
+    return tensor_stack(sys).reshape(sys.d ** 2, -1).conj() @ rho.ravel()
+
+
+def tensor_expectations(sys: SpinSystem, rho: np.ndarray) -> dict:
+    """Coefficients Tr(rho T_KQ^dag) for every (K, Q)."""
+    return dict(zip(tensor_keys(sys), _coefficients(sys, rho).tolist()))
 
 
 def spherical_harmonic(K: int, Q: int, theta, phi):
@@ -70,12 +79,10 @@ def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
     if n_theta < MIN_GRID or n_phi < MIN_GRID:
         raise ValueError(f"grid sizes below {MIN_GRID} make the quadrature unreliable")
     theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
-    coeffs = tensor_expectations(sys, rho)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    acc = np.zeros((n_theta, n_phi), dtype=complex)
-    for (K, Q), c in coeffs.items():
-        acc += c * sph_harm_y(K, Q, tt, pp)
-    values = np.sqrt(sys.d / (4 * np.pi)) * acc
+    coeffs = _coefficients(sys, rho)
+    K, Q = np.array(tensor_keys(sys)).T
+    Y = sph_harm_y(K[:, None], Q[:, None], theta, 0)
+    values = np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("imaginary residue exceeds tolerance; rho not Hermitian enough")
     return WignerGrid(theta, phi, values.real, wtheta)

@@ -60,8 +60,19 @@ def test_unknown_key_suggestion():
 
 
 def test_invalid_spin():
-    with pytest.raises(ConfigError):
-        validate_config({**GOOD, "spin": 0.7})
+    # 0.7 is not a half-integer; 20.5 is above the largest spin that runs
+    # in the memory of a workstation
+    for spin in (0.7, 20.5):
+        with pytest.raises(ConfigError, match="spin"):
+            validate_config({**GOOD, "spin": spin})
+
+
+def test_spin_above_bound_exit_code(tmp_path, capsys):
+    p = write_config(tmp_path, {**GOOD, "spin": 40})
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "spin" in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert "spin" in capsys.readouterr().err
 
 
 def test_invalid_json_file(tmp_path):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spincat.spin_ops import (SpinSystem, angular_momentum, expm_hermitian,
                               reduced_wigner_d, rotation_operator,
                               spherical_tensor, spherical_tensor_basis,
-                              tensor_keys)
+                              tensor_keys, tensor_stack)
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0]
 
@@ -46,17 +47,15 @@ def test_iz_ordering():
     assert np.allclose(np.diag(ops.Iz), [1.5, 0.5, -0.5, -1.5])
 
 
-@pytest.mark.parametrize("I", [0.5, 1.0, 1.5, 2.5, 4.0])
+@pytest.mark.parametrize("I", [0.5, 1.0, 1.5, 2.5, 4.0, 10.0, 15.0])
 def test_tensor_orthonormality(I):
     sys = SpinSystem(I)
     basis = spherical_tensor_basis(sys)
     keys = tensor_keys(sys)
     assert len(keys) == sys.d ** 2
-    for i, ka in enumerate(keys):
-        for kb in keys[i:]:
-            inner = np.trace(basis[ka].conj().T @ basis[kb])
-            want = 1.0 if ka == kb else 0.0
-            assert abs(inner - want) < 1e-10
+    vecs = np.array([basis[kq].ravel() for kq in keys])
+    gram = vecs.conj() @ vecs.T
+    assert np.abs(gram - np.eye(len(keys))).max() < 1e-10
 
 
 @pytest.mark.parametrize("I", [1.0, 1.5, 2.0])
@@ -69,12 +68,47 @@ def test_tensor_completeness(I):
     assert np.allclose(rebuilt, M, atol=1e-10)
 
 
-@pytest.mark.parametrize("I", [1.0, 1.5, 2.5])
+@pytest.mark.parametrize("I", [1.0, 1.5, 2.5, 10.0, 15.0])
 def test_tensor_conjugation(I):
     sys = SpinSystem(I)
     basis = spherical_tensor_basis(sys)
     for (K, Q), T in basis.items():
         assert np.allclose(T.conj().T, (-1) ** Q * basis[(K, -Q)], atol=1e-10)
+
+
+@pytest.mark.parametrize("I", [7.5, 15.0, 20.0])
+def test_tensor_casimir_and_ladder_relations(I):
+    # sum_a [I_a, [I_a, T_KQ]] = K(K+1) T_KQ and
+    # [I-, T_KQ] = sqrt(K(K+1) - Q(Q-1)) T_K,Q-1, the defining relations
+    sys = SpinSystem(I)
+    ops = angular_momentum(sys)
+    T = tensor_stack(sys)
+    K, Q = np.array(tensor_keys(sys)).T
+    bound = 1e-12 * np.maximum(1, K * (K + 1))
+
+    def comm(A, B):
+        return A @ B - B @ A
+
+    casimir = sum(comm(A, comm(A, T)) for A in (ops.Ix, ops.Iy, ops.Iz))
+    err = np.abs(casimir - (K * (K + 1))[:, None, None] * T).max(axis=(1, 2))
+    assert (err <= bound).all()
+    # T_K,Q-1 sits one index below T_KQ; the factor vanishes at Q = -K
+    lowered = np.sqrt(K * (K + 1) - Q * (Q - 1))[:, None, None] * np.roll(T, 1, axis=0)
+    err = np.abs(comm(ops.Iminus, T) - lowered).max(axis=(1, 2))
+    assert (err <= bound).all()
+
+
+def test_tensor_basis_dict_is_a_copy():
+    sys = SpinSystem(1.5)
+    stack = tensor_stack(sys).copy()
+    basis = spherical_tensor_basis(sys)
+    basis[(1, 0)] = np.zeros((4, 4))
+    del basis[(0, 0)]
+    with pytest.raises(ValueError):
+        basis[(2, 1)][0, 1] = 5.0
+    assert np.array_equal(spherical_tensor_basis(sys)[(1, 0)], stack[2])
+    assert np.array_equal(tensor_stack(sys), stack)
+    assert np.array_equal(spherical_tensor(sys, 0, 0), stack[0])
 
 
 def test_tensor_rank_range_errors():
@@ -106,13 +140,13 @@ def test_reduced_wigner_orthonormal_rows():
     assert np.allclose(d @ d.T, np.eye(4), atol=1e-12)
 
 
-@pytest.mark.parametrize("I", [0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("I", [0.5, 1.0, 1.5, 2.5, 15.0, 20.0])
 def test_reduced_wigner_matches_expm(I):
     sys = SpinSystem(I)
     ops = angular_momentum(sys)
     beta = 1.234
-    assert np.allclose(reduced_wigner_d(I, beta),
-                       expm_hermitian(ops.Iy, beta), atol=1e-12)
+    want = scipy.linalg.expm(-1j * beta * ops.Iy)
+    assert np.abs(reduced_wigner_d(I, beta) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("I", [1.0, 1.5, 2.0])

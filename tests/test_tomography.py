@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from spincat.dynamics import NmrParams
 from spincat.spin_ops import SpinSystem, angular_momentum, spherical_tensor_basis
+from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
 from spincat.tomography import (FID_DWELL, FID_POINTS, SpectrumLines,
                                 TomographyPulse, TomographyRankError,
@@ -199,6 +200,28 @@ def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
         start += len(cycle)
     expected = clean + np.concatenate(expected + [[0.0]])
     assert np.abs(noisy - expected).max() < 1e-12
+
+
+def test_measure_reuses_compiled_map(monkeypatch):
+    # build_design_matrix compiles the measurement map; measuring with an
+    # equal, freshly built pulse set must not compile it again
+    calls = []
+    detection_rows = tomography._detection_rows
+
+    def counted(*args):
+        calls.append(1)
+        return detection_rows(*args)
+
+    monkeypatch.setattr(tomography, "_detection_rows", counted)
+    nmr = NmrParams(0.0, 0.0, 2 * np.pi * 12345.0)
+    build_design_matrix(SYS, pulse_set(SYS), nmr)
+    compiled = len(calls)
+    assert compiled > 0
+    rho = random_density(np.random.default_rng(13))
+    clean = measure(SYS, rho, pulse_set(SYS), nmr)
+    noisy = measure(SYS, rho, pulse_set(SYS), nmr, noise_sigma=0.1, seed=3)
+    assert len(calls) == compiled
+    assert not np.array_equal(clean, noisy)
 
 
 def test_add_line_noise_contracts():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincat.spin_ops import (SpinSystem, euler_rotation_matrix,
                               rotation_operator, spherical_tensor)
@@ -104,6 +105,35 @@ def test_cat_state_equatorial_oscillations():
     n_min = (sign_changes > 0).sum()
     assert n_max == 3
     assert n_min == 3
+
+
+def test_large_spin_cat_map():
+    # an I = 15 cat on a grid with n_phi < 4I + 1, where FFT bins would fold
+    sys = SpinSystem(15)
+    grid = wigner_function(sys, projector(cat_state(sys, np.pi / 2, 0.0, 1)), 16, 32)
+    assert abs(integrate_sphere(grid) - 1) < 1e-12
+    tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    ref = wigner_point(sys, projector(cat_state(sys, np.pi / 2, 0.0, 1)), tt, pp)
+    assert np.abs(grid.values - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(twoI=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       n_theta=st.integers(8, 40), n_phi=st.integers(8, 40))
+def test_synthesis_matches_pointwise_harmonics(twoI, seed, n_theta, n_phi):
+    sys = SpinSystem(twoI / 2)
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(sys.d, sys.d)) + 1j * rng.normal(size=(sys.d, sys.d))
+    H = (A + A.conj().T) / 2
+    rho = H + (1 - np.trace(H).real) / sys.d * np.eye(sys.d)
+    grid = wigner_function(sys, rho, n_theta, n_phi)
+    tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    ref = wigner_point(sys, rho, tt, pp)
+    assert np.abs(grid.values - ref).max() < 1e-12 * np.abs(ref).max()
+    # the quadrature is exact once it resolves every harmonic: Gauss-Legendre
+    # in cos(theta) up to degree 2 n_theta - 1 >= 2I, and |Q| <= 2I < n_phi
+    if 2 * n_theta > twoI and n_phi > twoI:
+        assert abs(integrate_sphere(grid) - 1) < 1e-12
 
 
 def test_reality():
