@@ -13,7 +13,6 @@ from . import __version__
 from .config import ConfigError, PRESETS, get_preset, load_config
 from .dynamics import NmrParams, cat_time, free_evolution_schedule
 from .spin_ops import SpinSystem
-from .states import cat_state, coherent_state, fidelity, projector, thermal_density
 from .tomography import (TomographyRankError, build_design_matrix, measure,
                          pulse_set, reconstruct, reconstruction_record)
 from .wigner import wigner_function, write_csv, integrate_sphere, grid_argmax
@@ -69,14 +68,9 @@ def run_experiment(cfg, out_dir: Path) -> dict:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config) if args.config else get_preset(args.preset)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.mode is not None:
-            overrides["mode"] = args.mode
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-    except ConfigError as exc:
+        given = {"seed": args.seed, "mode": args.mode}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2
     try:
@@ -120,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spincat",
         description="Quadrupolar spin dynamics: cat-state evolution, "
-                    "tomography and quasiprobability maps.")
+                    "tomography and quasiprobability maps.",
+        epilog="exit codes: 0 success, 2 invalid configuration, 3 numerical failure")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

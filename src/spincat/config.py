@@ -2,10 +2,8 @@
 
 import difflib
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-import jsonschema
 import numpy as np
 
 from .states import NA23_EPSILON
@@ -59,6 +57,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if round(2 * self.spin) != 2 * self.spin or self.spin <= 0:
             raise ConfigError("spin must be a positive integer or half-integer")
+        # n Gauss-Legendre nodes are exact to degree 2n - 1; n azimuths alias |Q| >= n
+        for key in ("n_theta", "n_phi"):
+            if (n := getattr(self, key)) <= 2 * self.spin:
+                raise ConfigError(f"{key}: must exceed 2I = {2 * self.spin:g}, got {n}")
         object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
 
     def to_dict(self) -> dict:
@@ -79,36 +81,51 @@ PRESETS = {
 }
 
 
-def _suggest(key: str) -> str:
-    close = difflib.get_close_matches(key, CONFIG_SCHEMA["properties"], n=1)
+def _suggest(key: str, names=CONFIG_SCHEMA["properties"]) -> str:
+    close = difflib.get_close_matches(key, names, n=1)
     return f" (did you mean '{close[0]}'?)" if close else ""
+
+
+_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "array": list}
+_KEYWORDS = {
+    "type": lambda v, t: (isinstance(v, _TYPES[t]) and not isinstance(v, bool) and (
+        not isinstance(v, float) or np.isfinite(v) and (t == "number" or v.is_integer()))),
+    "enum": lambda v, e: v in e,
+    "minimum": lambda v, m: v >= m,
+    "exclusiveMinimum": lambda v, m: v > m,
+    "maximum": lambda v, m: v <= m,
+    "minItems": lambda v, n: len(v) >= n,
+    "items": lambda v, spec: all(_broken(x, spec) is None for x in v),
+}
+
+
+def _broken(v, spec: dict):
+    """First keyword of a property's schema that v breaks, or None; type comes first. A
+    bool is not a number, a JSON number is finite and "integer" takes integral floats."""
+    return next((w for w, ok in _KEYWORDS.items() if w in spec and not ok(v, spec[w])), None)
+
+
+def _check_schema(data, source: str):
+    """Raise ConfigError naming the first field of data that CONFIG_SCHEMA rejects."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source}: configuration must be a JSON object")
+    for key, value in data.items():
+        if key not in CONFIG_SCHEMA["properties"]:
+            raise ConfigError(f"{source}: unknown key '{key}'{_suggest(key)}")
+        spec = CONFIG_SCHEMA["properties"][key]
+        if word := _broken(value, spec):
+            raise ConfigError(f"{source}: {key}: {value!r} fails {word} {spec[word]!r}")
+    if missing := [key for key in CONFIG_SCHEMA["required"] if key not in data]:
+        raise ConfigError(f"{source}: {missing[0]}: required key is missing")
 
 
 def validate_config(data: dict, source: str = "<config>") -> ExperimentConfig:
     """Validate a raw configuration mapping and build an ExperimentConfig.
-
-    Error messages carry the offending JSON path and, for unknown keys, a
-    closest-match suggestion.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: configuration must be a JSON object")
-    for key in data:
-        if key not in CONFIG_SCHEMA["properties"]:
-            raise ConfigError(f"{source}: unknown key '{key}'{_suggest(key)}")
-        value = data[key]
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{source}: {key}: {value} is not a finite number")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.path))
-    if errors:
-        e = errors[0]
-        path = "/".join(str(p) for p in e.path) or "<root>"
-        raise ConfigError(f"{source}: {path}: {e.message}")
+    Errors name the field, and suggest the closest key for an unknown one."""
+    _check_schema(data, source)
     try:
         return ExperimentConfig(**data)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
@@ -123,8 +140,6 @@ def load_config(path) -> ExperimentConfig:
 
 def get_preset(name: str) -> ExperimentConfig:
     if name not in PRESETS:
-        close = difflib.get_close_matches(name, PRESETS, n=1)
-        hint = f" (did you mean '{close[0]}'?)" if close else ""
-        raise ConfigError(f"unknown preset '{name}'{hint}; "
+        raise ConfigError(f"unknown preset '{name}'{_suggest(name, PRESETS)}; "
                           f"available: {', '.join(sorted(PRESETS))}")
     return PRESETS[name]

@@ -13,7 +13,6 @@ exact for any n_phi where an FFT over phi would fold orders |Q| >= n_phi/2.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .spin_ops import SpinSystem, require_hermitian, tensor_keys, tensor_stack
 
@@ -36,7 +35,23 @@ def spherical_harmonic(K: int, Q: int, theta, phi):
     """Orthonormal spherical harmonic Y_KQ with the Condon-Shortley phase."""
     if not (0 <= K) or not (-K <= Q <= K):
         raise ValueError(f"invalid rank/order ({K},{Q})")
+    from scipy.special import sph_harm_y
     return sph_harm_y(K, Q, theta, phi)
+
+
+def _polar_harmonics(K: np.ndarray, Q: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Y_KQ(theta, 0) for integer arrays K, Q: the normalized associated-Legendre recurrence
+    (Holmes & Featherstone, J. Geodesy 76, 279 (2002)), and Y_K,-Q = (-1)^Q Y_KQ."""
+    L, x, s = K.max(), np.cos(theta), np.sin(theta)
+    P = np.zeros((L + 2, L + 1, len(theta)))   # P[k, q] = Y_kq; row L + 1 stays 0
+    P[0, 0] = 1 / np.sqrt(4 * np.pi)
+    for k in range(1, L + 1):
+        q2 = np.arange(k)[:, None] ** 2
+        a = np.sqrt((4 * k * k - 1) / (k * k - q2))
+        b = np.sqrt(((k - 1) ** 2 - q2) / (4 * (k - 1) ** 2 - 1))
+        P[k, :k] = a * (x * P[k - 1, :k] - b * P[k - 2, :k])
+        P[k, k] = -np.sqrt((2 * k + 1) / (2 * k)) * s * P[k - 1, k - 1]
+    return P[K, np.abs(Q)] * (-1.0) ** np.minimum(Q, 0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -69,7 +84,7 @@ def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
     coeffs = tensor_expectations(sys, rho)
     acc = 0
     for (K, Q), c in coeffs.items():
-        acc = acc + c * sph_harm_y(K, Q, theta, phi)
+        acc = acc + c * spherical_harmonic(K, Q, theta, phi)
     return (np.sqrt(sys.d / (4 * np.pi)) * acc).real
 
 
@@ -81,7 +96,7 @@ def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
     theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
     coeffs = _coefficients(sys, rho)
     K, Q = np.array(tensor_keys(sys)).T
-    Y = sph_harm_y(K[:, None], Q[:, None], theta, 0)
+    Y = _polar_harmonics(K, Q, theta)
     values = np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("imaginary residue exceeds tolerance; rho not Hermitian enough")
@@ -108,9 +123,9 @@ def write_csv(grid: WignerGrid, sys: SpinSystem, path):
     with open(path, "w", newline="\n") as f:
         f.write(f"# I={sys.I:.17g} n_theta={grid.n_theta} n_phi={grid.n_phi}\n")
         f.write("theta,phi,W\n")
-        for i, th in enumerate(grid.theta):
-            for j, ph in enumerate(grid.phi):
-                f.write(f"{th:.17g},{ph:.17g},{grid.values[i, j]:.17g}\n")
+        phis = [f"{ph:.17g}" for ph in grid.phi.tolist()]
+        for th, row in zip(map("{:.17g}".format, grid.theta.tolist()), grid.values.tolist()):
+            f.write("".join([f"{th},{ph},{w:.17g}\n" for ph, w in zip(phis, row)]))
 
 
 def read_csv(path):

@@ -1,18 +1,21 @@
 """Configuration validation and command-line entry points."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spincat
 from spincat.cli import main
-from spincat.config import (ConfigError, PRESETS, get_preset, load_config,
-                            validate_config)
+from spincat.config import (CONFIG_SCHEMA, ConfigError, PRESETS, _check_schema,
+                            get_preset, load_config, validate_config)
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -73,6 +76,81 @@ def test_spin_above_bound_exit_code(tmp_path, capsys):
     assert "spin" in capsys.readouterr().err
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
     assert "spin" in capsys.readouterr().err
+
+
+def test_grid_must_resolve_spin(tmp_path, capsys):
+    # 8 x 8 nodes cannot integrate the rank-20 harmonics of a spin-10 map:
+    # the run used to exit 0 with wigner_integral 1.403
+    cfg = {"spin": 10, "nu_Q": 15220, "p": 1, "checkpoints": [1], "n_theta": 8, "n_phi": 8}
+    for field, n in (("n_theta", 8), ("n_phi", 8), ("n_phi", 20)):
+        p = write_config(tmp_path, {**cfg, "n_theta": 21, "n_phi": 21, field: n})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert field in capsys.readouterr().err
+    p = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert "n_theta" in capsys.readouterr().err
+    assert validate_config({**cfg, "n_theta": 21, "n_phi": 21}).n_phi == 21
+
+
+def test_cli_run_missing_config_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+def _near(spec):
+    """Values of one property's type in and around its schema bounds."""
+    if "enum" in spec:
+        return st.sampled_from(spec["enum"])
+    if spec["type"] == "string":
+        return st.text(max_size=4)
+    if spec["type"] == "array":
+        return st.lists(_near(spec["items"]), max_size=3)
+    lo = spec.get("minimum", spec.get("exclusiveMinimum", -30))
+    hi = spec.get("maximum", lo + 60)
+    ints = st.integers(math.floor(lo) - 1, math.ceil(hi) + 1)
+    if spec["type"] == "integer":
+        return ints | ints.map(float)
+    return ints | st.floats(lo - 1, hi + 1)
+
+
+# any JSON value, and exact edges of the schema; JSON has no NaN or infinity,
+# which _check_schema rejects and JSON Schema accepts
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+    | st.sampled_from([0.0, -0.0, 7.5, 8.0, 20.0, 20.5, 10**30, 1e300, "fid", [], {}]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+_PROPS = CONFIG_SCHEMA["properties"]
+
+
+def _value(spec):
+    # mostly near the schema, so that whole configs are often valid
+    return st.integers(0, 19).flatmap(
+        lambda i: _JSON if i == 0 else st.floats(-50, 50) if i == 1 else _near(spec))
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {k: _value(_PROPS[k]) for k in CONFIG_SCHEMA["required"]},
+    optional={k: _value(spec) for k, spec in _PROPS.items() if k not in CONFIG_SCHEMA["required"]},
+) | st.dictionaries(st.sampled_from(list(_PROPS)) | st.text(max_size=6), _JSON, max_size=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_CONFIGS)
+def test_schema_check_matches_jsonschema(data):
+    errors = list(jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(data))
+    try:
+        _check_schema(data, "<config>")
+    except ConfigError as exc:
+        assert errors, f"rejected a config the schema accepts: {exc}"
+        # the message names a field the schema faults
+        bad = {e.path[0] for e in errors if e.path}
+        bad |= {k for k in CONFIG_SCHEMA["required"] if k not in data}
+        bad |= {k for k in data if k not in CONFIG_SCHEMA["properties"]}
+        assert any(f": {k}: " in str(exc) or f"'{k}'" in str(exc) for k in bad), str(exc)
+    else:
+        assert not errors, [e.message for e in errors]
 
 
 def test_invalid_json_file(tmp_path):
@@ -162,3 +240,15 @@ def test_cli_import_leaves_out_optimizer():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+def test_cli_import_leaves_out_scipy_special_and_jsonschema():
+    # the run path needs numpy only: harmonics come from a recurrence and the
+    # config schema is checked directly
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, spincat.cli; "
+            "print('scipy.special' in sys.modules, 'jsonschema' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False"]

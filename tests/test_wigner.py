@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from spincat.spin_ops import (SpinSystem, euler_rotation_matrix,
                               rotation_operator, spherical_tensor)
 from spincat.states import cat_state, coherent_state, projector
-from spincat.wigner import (WignerGrid, grid_argmax, integrate_sphere,
-                            read_csv, spherical_harmonic, tensor_expectations,
-                            wigner_function, wigner_point, write_csv)
+from spincat.wigner import (WignerGrid, _grid_nodes, _polar_harmonics, grid_argmax,
+                            integrate_sphere, read_csv, spherical_harmonic,
+                            tensor_expectations, wigner_function, wigner_point,
+                            write_csv)
 
 
 def random_density(sys, rng):
@@ -36,6 +37,16 @@ def test_spherical_harmonic_examples():
     assert abs(spherical_harmonic(1, 0, th, 0.0) - want) < 1e-12
     with pytest.raises(ValueError):
         spherical_harmonic(2, 3, 0.1, 0.1)
+
+
+def test_polar_harmonics_match_scipy():
+    # every rank a map needs up to the spin cap of 20 (2I = 40), every order
+    from scipy.special import sph_harm_y
+    theta, _, _ = _grid_nodes(64, 8)
+    K = np.repeat(np.arange(41), 2 * np.arange(41) + 1)
+    Q = np.concatenate([np.arange(-k, k + 1) for k in range(41)])
+    want = sph_harm_y(K[:, None], Q[:, None], theta, 0)
+    assert np.abs(_polar_harmonics(K, Q, theta) - want).max() < 1e-13
 
 
 def test_quadrature_orthonormality():
@@ -196,3 +207,18 @@ def test_csv_roundtrip_and_determinism(tmp_path):
     assert np.allclose(back.phi, grid.phi, atol=1e-15)
     assert np.abs(back.values - grid.values).max() < 1e-15
     assert abs(integrate_sphere(back) - integrate_sphere(grid)) < 1e-12
+
+
+def test_csv_matches_cell_by_cell_format(tmp_path):
+    # the row-wise writer gives the bytes of formatting every cell on its own
+    sys = SpinSystem(2.5)
+    theta, w, phi = _grid_nodes(9, 13)
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(9, 13)) * 10.0 ** rng.integers(-300, 300, size=(9, 13))
+    values[0, :4] = [0.0, -0.0, 5e-324, 1.0]
+    grid = WignerGrid(theta, phi, values, w)
+    write_csv(grid, sys, tmp_path / "w.csv")
+    want = "# I=2.5 n_theta=9 n_phi=13\ntheta,phi,W\n" + "".join(
+        f"{th:.17g},{ph:.17g},{values[i, j]:.17g}\n"
+        for i, th in enumerate(theta) for j, ph in enumerate(phi))
+    assert (tmp_path / "w.csv").read_bytes() == want.encode()
