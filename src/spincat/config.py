@@ -55,13 +55,19 @@ class ExperimentConfig:
     n_phi: int = 128
 
     def __post_init__(self):
+        # JSON Schema's "integer" takes integral floats such as 16.0: store ints
+        for key in ("p", "seed", "n_theta", "n_phi", "checkpoints"):
+            value = getattr(self, key)
+            ints = tuple(map(int, value)) if key == "checkpoints" else int(value)
+            if np.any(np.not_equal(ints, value)):
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+            object.__setattr__(self, key, ints)
         if round(2 * self.spin) != 2 * self.spin or self.spin <= 0:
             raise ConfigError("spin must be a positive integer or half-integer")
         # n Gauss-Legendre nodes are exact to degree 2n - 1; n azimuths alias |Q| >= n
         for key in ("n_theta", "n_phi"):
             if (n := getattr(self, key)) <= 2 * self.spin:
                 raise ConfigError(f"{key}: must exceed 2I = {2 * self.spin:g}, got {n}")
-        object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
 
     def to_dict(self) -> dict:
         return {f.name: (list(v) if isinstance(v, tuple) else v)

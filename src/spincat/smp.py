@@ -111,27 +111,24 @@ def temporal_average(sys: SpinSystem, variants, rho0: np.ndarray,
 def _batched_segment_propagators(H_static, ops, x, dt):
     """Propagators and their parameter derivatives for every segment.
 
-    x has shape (n_seq, n_seg, 2) = (amplitude, phase).  Returns U, shape
-    (n_seq, n_seg, d, d), and the Frechet derivatives dU/d(amplitude, phase),
-    shape (n_seq, n_seg, 2, d, d).
-    """
-    w = x[..., 0, None, None]
-    cos = np.cos(x[..., 1])[..., None, None]
-    sin = np.sin(x[..., 1])[..., None, None]
-    axis = cos * ops.Ix + sin * ops.Iy
-    dH = np.stack([axis, w * (-sin * ops.Ix + cos * ops.Iy)], axis=2)
-    lam, V = np.linalg.eigh(H_static + w * axis)
+    x has shape (n_seq, n_seg, 2) = (amplitude w, phase phi).  U(w, phi) =
+    Rz(phi) U(w, 0) Rz(-phi) is U(w, 0) times e^{-i phi (m_a - m_b)} on entry
+    (a, b), so dU/dphi = -i [Iz, U].  Returns U, shape (n_seq, n_seg, d, d),
+    and dU/d(w, phi), shape (n_seq, n_seg, 2, d, d)."""
+    dm = (ops.Iz.diagonal()[:, None] - ops.Iz.diagonal()).real   # m_a - m_b
+    lam, V = np.linalg.eigh(H_static.real + x[..., 0, None, None] * ops.Ix.real)
     e = np.exp(-1j * lam * dt)
-    Vh = np.swapaxes(V, -1, -2).conj()
-    U = (V * e[..., None, :]) @ Vh
-    # Loewner kernel for the Frechet derivative of exp(-i H dt)
+    Vt = np.swapaxes(V, -1, -2)
+    # Loewner kernel for the Frechet derivative of exp(-i H dt) along Ix
     L = lam[..., :, None] - lam[..., None, :]
     num = e[..., :, None] - e[..., None, :]
     small = np.abs(L) < 1e-12 * np.maximum(1.0, np.abs(lam).max())
     mid = np.exp(-1j * dt * (lam[..., :, None] + lam[..., None, :]) / 2)
     G = np.where(small, -1j * dt * mid, num / np.where(small, 1.0, L))
-    V, Vh, G = V[:, :, None], Vh[:, :, None], G[:, :, None]
-    return U, V @ (G * (Vh @ dH @ V)) @ Vh
+    phase = np.exp(-1j * x[..., 1, None, None] * dm)
+    U = (V * e[..., None, :]) @ Vt * phase
+    dU_dw = V @ (G * (Vt @ ops.Ix.real @ V)) @ Vt * phase
+    return U, np.stack([dU_dw, -1j * dm * U], axis=2)
 
 
 def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants, n_seg):
@@ -161,7 +158,8 @@ def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants,
 
 
 def _problem(sys, nmr, target_state, rho0):
-    """(ops, H_static, rho0, target): H_static leaves out the RF term, rho0
+    """(ops, H_static, rho0, target): H_static leaves out the RF term, so it is
+    diagonal and commutes with Iz, as the propagators' phase rule needs; rho0
     defaults to the Iz deviation, target is the target state's deviation."""
     ops = angular_momentum(sys)
     H_static = nmr_hamiltonian(sys, NmrParams(nmr.omega_L, nmr.omega_RF, nmr.omega_Q))

@@ -152,12 +152,9 @@ def expm_hermitian(H: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def rotation_operator(sys: SpinSystem, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Euler rotation exp(-i alpha Iz) exp(-i beta Iy) exp(-i gamma Iz)."""
-    ops = angular_momentum(sys)
     ms = sys.m_values
-    Rz_a = np.diag(np.exp(-1j * alpha * ms))
-    Rz_g = np.diag(np.exp(-1j * gamma * ms))
-    Ry = expm_hermitian(ops.Iy, beta)
-    return Rz_a @ Ry @ Rz_g
+    Ry = expm_hermitian(angular_momentum(sys).Iy, beta)
+    return np.exp(-1j * (alpha * ms[:, None] + gamma * ms)) * Ry
 
 
 def euler_rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:

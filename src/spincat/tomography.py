@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, angular_momentum, tensor_keys, tensor_stack,
-                       require_hermitian)
+from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian, tensor_keys,
+                       tensor_stack, require_hermitian)
 from .dynamics import NmrParams
 
 # Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
@@ -44,7 +44,6 @@ class TomographyPulse:
     theta_qst: float
     phi_qst: float
     alpha_qst: float
-    target_coherence: int = 0
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def zero_order_cycle(sys: SpinSystem):
     (0, 3pi/2, pi, pi/2)."""
     phis = (np.pi / 2, np.pi, 3 * np.pi / 2, 0.0)
     alphas = (0.0, 3 * np.pi / 2, np.pi, np.pi / 2)
-    return [TomographyPulse(np.pi / 2, p, a, 0) for p, a in zip(phis, alphas)]
+    return [TomographyPulse(np.pi / 2, p, a) for p, a in zip(phis, alphas)]
 
 
 def coherence_cycle(sys: SpinSystem, q: int, theta: float):
@@ -98,7 +97,7 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
     for k in range(N):
         phi = 2 * np.pi * k / N
         alpha = (-(q + 1) * phi) % (2 * np.pi)
-        pulses.append(TomographyPulse(theta, phi, alpha, q))
+        pulses.append(TomographyPulse(theta, phi, alpha))
     return pulses
 
 
@@ -125,34 +124,34 @@ def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
     return (nu_Q / 2) * (2 * ms + 1)
 
 
-def _detection_rows(sys: SpinSystem, pulses, nmr: NmrParams, mode: str) -> np.ndarray:
-    """(n_pulses, 2I, d^2) rows whose product with vec(rho) gives each
-    pulse's line amplitudes e^{i alpha} (U rho U^dag)_{j,j-1} (I+)_{j-1,j}.
+def _detection_rows(sys: SpinSystem, cycle, nmr: NmrParams, mode: str) -> np.ndarray:
+    """(2I, d^2) rows whose product with vec(rho) gives the cycle's mean line
+    amplitudes e^{i alpha} (U rho U^dag)_{j,j-1} (I+)_{j-1,j}.
 
-    U = Rz(phi) Rx(theta) Rz(-phi) with Rz(phi) = exp(-i phi Iz), so one
-    eigendecomposition of Ix serves every pulse.  In "fid" mode line j
-    carries its precession e^{i omega_j / nu_Q} through the delay 1/nu_Q.
-    """
+    U = Rz(phi) Rx(theta) Rz(-phi), Rz(phi) = exp(-i phi Iz): a pulse's rows are
+    Rx(theta)'s times e^{i(alpha + phi(1 + m_a - m_b))} = v_a conj(u_b) on entry
+    (a, b), u = e^{i phi m}, v = e^{i(alpha + phi)} u; summed over a cycle, this
+    mask selects the coherence order.  "fid" mode adds e^{i omega_j / nu_Q}."""
     ops = angular_momentum(sys)
-    theta, phi, alpha = np.array([(p.theta_qst, p.phi_qst, p.alpha_qst)
-                                  for p in pulses], dtype=float).T
-    gain = np.exp(1j * alpha)[:, None] * np.diagonal(ops.Iplus, 1)
+    gain = np.diagonal(ops.Iplus, 1)
     if mode == "fid":
         nu_Q = nmr.omega_Q / (2 * np.pi)
-        omega = 2 * np.pi * _line_frequencies(sys, nu_Q)
-        gain = gain * np.exp(1j * omega / nu_Q)
+        gain = gain * np.exp(2j * np.pi * _line_frequencies(sys, nu_Q) / nu_Q)
     elif mode != "coherence":
         raise ValueError(f"unknown mode {mode!r}")
-    lam, V = np.linalg.eigh(ops.Ix)
-    Rx = np.einsum("ak,pk,bk->pab", V, np.exp(-1j * np.outer(theta, lam)), V.conj())
-    ms = sys.m_values
-    U = Rx * np.exp(-1j * phi[:, None, None] * (ms[:, None] - ms[None, :]))
-    rows = gain[:, :, None, None] * U[:, 1:, :, None] * U[:, :-1, None, :].conj()
-    return rows.reshape(len(pulses), sys.d - 1, sys.d ** 2)
+    theta, phi, alpha = np.array([(p.theta_qst, p.phi_qst, p.alpha_qst) for p in cycle]).T
+    u = np.exp(1j * np.outer(phi, sys.m_values))
+    v = np.exp(1j * (alpha + phi))[:, None] * u
+    rows = 0
+    for angle in sorted(set(theta)):  # np.unique imports numpy.ma: ~30 ms a fresh run
+        at = theta == angle
+        R = expm_hermitian(ops.Ix, angle)
+        rows = rows + R[1:, :, None] * R[:-1, None, :].conj() * (v[at].T @ u[at].conj())
+    return gain[:, None] * rows.reshape(sys.d - 1, -1) / len(cycle)
 
 
 def _measurement_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
-    """M of shape (n_cycles 2I + 1, d^2): cycle-averaged detection rows
+    """M of shape (n_cycles 2I + 1, d^2): each cycle's mean detection rows
     stacked cycle by cycle, then the trace row vec(1).  Read-only and
     compiled once per (spin, cycles, nmr, mode)."""
     return _compiled_map(sys, tuple(map(tuple, cycles)), nmr, mode)
@@ -160,7 +159,7 @@ def _measurement_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.n
 
 @lru_cache(maxsize=4)
 def _compiled_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
-    rows = [_detection_rows(sys, cycle, nmr, mode).mean(axis=0) for cycle in cycles]
+    rows = [_detection_rows(sys, cycle, nmr, mode) for cycle in cycles]
     M = np.vstack(rows + [np.eye(sys.d).reshape(1, -1)])
     M.setflags(write=False)
     return M
@@ -176,7 +175,7 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     """
     require_hermitian(rho, "density matrix")
     freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
-    return SpectrumLines(freqs, _detection_rows(sys, [pulse], nmr, mode)[0] @ rho.ravel())
+    return SpectrumLines(freqs, _detection_rows(sys, [pulse], nmr, mode) @ rho.ravel())
 
 
 def _complex_noise(rng, sigma: float, shape) -> np.ndarray:

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import spincat
 from spincat.cli import main
-from spincat.config import (CONFIG_SCHEMA, ConfigError, PRESETS, _check_schema,
-                            get_preset, load_config, validate_config)
+from spincat.config import (CONFIG_SCHEMA, ConfigError, ExperimentConfig, PRESETS,
+                            _check_schema, get_preset, load_config, validate_config)
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -203,6 +203,31 @@ def test_cli_run_outputs_and_determinism(tmp_path, mode):
     assert cp["fidelity"] > 0.9
     assert abs(cp["wigner_integral"] - 1) < 1e-6
     assert abs(report["t_S_us"] - 32.85) < 0.01
+
+
+def test_integral_floats_run_like_integers(tmp_path):
+    # JSON Schema's "integer" accepts 16.0 and [1.0]; the run treats them as
+    # 16 and [1]: same file names (rho_1.json, not rho_1.0.json), same bytes
+    ints = {**GOOD, "checkpoints": [1], "n_theta": 16, "n_phi": 16,
+            "noise_sigma": 0.02, "seed": 5}
+    floats = {**ints, "p": 1.0, "checkpoints": [1.0], "n_theta": 16.0,
+              "n_phi": 16.0, "seed": 5.0}
+    outs = []
+    for name, cfg in (("ints", ints), ("floats", floats)):
+        outs.append(tmp_path / name)
+        p = write_config(tmp_path, cfg, f"{name}.json")
+        assert main(["run", "--config", str(p), "--out", str(outs[-1])]) == 0
+    files = sorted(f.name for f in outs[0].iterdir())
+    assert files == ["report.json", "rho_1.json", "wigner_1.csv"]
+    assert sorted(f.name for f in outs[1].iterdir()) == files
+    for fname in files:
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    # a non-integral value is rejected, not truncated
+    for key, value in (("n_theta", 16.5), ("checkpoints", [1.5])):
+        with pytest.raises(ConfigError, match=key):
+            validate_config({**ints, key: value})
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{**ints, key: value})
 
 
 def test_cli_run_noise_free_fidelity(tmp_path):

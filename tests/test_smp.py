@@ -15,6 +15,8 @@ SYS = SpinSystem(1.5)
 NU_Q = 15220.0
 NMR = NmrParams(0.0, 0.0, 2 * np.pi * NU_Q)
 NO_Q = NmrParams(0.0, 0.0, 0.0)   # pure RF, no quadrupolar term
+# carrier 3 kHz below the Larmor frequency: H_static gains an Iz term
+OFF_RESONANCE = NmrParams(2 * np.pi * 3e3, 0.0, 2 * np.pi * NU_Q)
 
 
 def test_segment_validation():
@@ -90,21 +92,21 @@ def point_of(variants):
     return np.array([[s.omega, s.phase] for v in variants for s in v.segments]).ravel()
 
 
-def check_gradient(I, nv, ns):
+def check_gradient(I, nv, ns, nmr=NMR):
     """Analytic gradient against central differences, 1e-5 relative."""
     sys_ = SpinSystem(I)
     target = coherent_state(sys_, np.pi / 2, 0.0)
     dt = 0.5e-6
     x = random_point(np.random.default_rng(7), nv, ns)
-    f0, g = objective_for_test(sys_, NMR, target, x, dt, nv, ns)
+    f0, g = objective_for_test(sys_, nmr, target, x, dt, nv, ns)
     num = np.zeros_like(x)
     for i in range(len(x)):
         h = 1e-6 * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fp = objective_for_test(sys_, NMR, target, xp, dt, nv, ns)[0]
-        fm = objective_for_test(sys_, NMR, target, xm, dt, nv, ns)[0]
+        fp = objective_for_test(sys_, nmr, target, xp, dt, nv, ns)[0]
+        fm = objective_for_test(sys_, nmr, target, xm, dt, nv, ns)[0]
         num[i] = (fp - fm) / (2 * h)
     assert np.abs(g - num).max() / np.abs(num).max() < 1e-5
 
@@ -120,8 +122,12 @@ def test_gradient_matches_finite_differences_other_sizes(I, nv, ns):
     check_gradient(I, nv, ns)
 
 
-def test_objective_is_fidelity_of_temporal_average():
-    # ties the optimizer's objective to the independent simulation path
+def test_gradient_off_resonance_matches_finite_differences():
+    check_gradient(1.5, 2, 4, OFF_RESONANCE)
+
+
+def check_objective_against_temporal_average(nmr):
+    """The optimizer's objective against the independent simulation path."""
     target = coherent_state(SYS, np.pi / 2, 0.0)
     nv, ns, dt = 3, 5, 0.5e-6
     x = random_point(np.random.default_rng(4), nv, ns, cap_hz=50e3)
@@ -129,10 +135,20 @@ def test_objective_is_fidelity_of_temporal_average():
     variants = [PulseSequence([PulseSegment(w, ph, dt) for w, ph in xs[v]])
                 for v in range(nv)]
     ops = angular_momentum(SYS)
-    avg = temporal_average(SYS, variants, ops.Iz.copy(), NMR)
+    avg = temporal_average(SYS, variants, ops.Iz.copy(), nmr)
     dev = traceless_part(projector(target))
     F = np.trace(avg @ dev).real / (np.linalg.norm(avg) * np.linalg.norm(dev))
-    assert abs(-objective_for_test(SYS, NMR, target, x, dt, nv, ns)[0] - F) < 1e-12
+    assert abs(-objective_for_test(SYS, nmr, target, x, dt, nv, ns)[0] - F) < 1e-12
+
+
+def test_objective_is_fidelity_of_temporal_average():
+    check_objective_against_temporal_average(NMR)
+
+
+def test_objective_off_resonance_matches_temporal_average():
+    # the phase rule U(phi) = Rz(phi) U(0) Rz(-phi) holds with an Iz term in
+    # H_static, as Iz commutes with it
+    check_objective_against_temporal_average(OFF_RESONANCE)
 
 
 def test_optimizer_and_hook_agree_with_rf_term():

@@ -180,6 +180,29 @@ def test_synthesize_spectrum_matches_expm_reference(spin):
 
 
 @pytest.mark.parametrize("spin", [1.5, 3.5])
+def test_mixed_angle_cycle_matches_expm_reference(spin):
+    # a cycle's map sums one phase mask per nutation angle; pulses of two
+    # angles in one cycle must still average to the per-pulse amplitudes
+    sys = SpinSystem(spin)
+    ops = angular_momentum(sys)
+    rng = np.random.default_rng(21)
+    rho = random_density(rng, sys.d)
+    thetas = rng.permutation([np.pi / 2] * 5 + [np.pi / 4] * 4)
+    phis, alphas = rng.uniform(0, 2 * np.pi, size=(2, 9))
+    lower = np.arange(1, sys.d)
+    expected = 0
+    for theta, phi, alpha in zip(thetas, phis, alphas):
+        U = expm(-1j * theta * (np.cos(phi) * ops.Ix + np.sin(phi) * ops.Iy))
+        rot = U @ rho @ U.conj().T
+        expected = expected + (np.exp(1j * alpha) * rot[lower, lower - 1]
+                               * ops.Iplus[lower - 1, lower]) / 9
+    cycle = [TomographyPulse(*p) for p in zip(thetas, phis, alphas)]
+    B = measure(sys, rho, [cycle], NMR)
+    assert np.abs(B[:-1] - expected).max() < 1e-12
+    assert abs(B[-1] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("spin", [1.5, 3.5])
 def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
     # the noise is one default_rng(seed) draw of (real, imaginary) pairs for
     # every line of every pulse, in cycle order, averaged within each cycle
