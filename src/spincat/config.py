@@ -15,7 +15,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "name": {"type": "string"},
         "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20},
-        "nu_Q": {"type": "number", "exclusiveMinimum": 0},
+        "nu_Q": {"type": "number", "minimum": 1},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "p": {"type": "integer"},
         "vartheta": {"type": "number", "minimum": 0, "maximum": np.pi},
@@ -26,10 +26,10 @@ CONFIG_SCHEMA = {
             "minItems": 1,
         },
         "mode": {"enum": ["coherence", "fid"]},
-        "noise_sigma": {"type": "number", "minimum": 0},
+        "noise_sigma": {"type": "number", "minimum": 0, "maximum": 1000},
         "seed": {"type": "integer", "minimum": 0},
-        "n_theta": {"type": "integer", "minimum": 8},
-        "n_phi": {"type": "integer", "minimum": 8},
+        "n_theta": {"type": "integer", "minimum": 8, "maximum": 2048},
+        "n_phi": {"type": "integer", "minimum": 8, "maximum": 2048},
     },
 }
 

@@ -36,12 +36,14 @@ class SpinSystem:
 
 
 def is_hermitian(M, tol=HERMITICITY_TOL):
-    return np.abs(M - M.conj().T).max() <= tol
+    """|M - M^dag|max <= tol max(1, |M|max): relative, as a Hamiltonian in rad/s
+    carries round-off in proportion to its size."""
+    return np.abs(M - M.conj().T).max() <= tol * max(1.0, np.abs(M).max())
 
 
 def require_hermitian(M, what="operator"):
     if not is_hermitian(M):
-        raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL:g}")
+        raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL:g} of max(1, |M|max)")
 
 
 @dataclass(frozen=True)

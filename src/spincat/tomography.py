@@ -19,7 +19,9 @@ completes the system to full column rank d^2.
 have precessed through the receiver-protection delay 1/nu_Q.  This is
 the exact closed form of a noise-free least-squares fit of the sampled
 free induction decay to the known line frequencies; T2 decay cancels in
-that fit.
+that fit.  The line at (nu_Q/2)(2m+1) turns through pi(2m+1) in that
+delay, a sign (-1)^d for every line at every nu_Q, so no map depends on
+the NMR parameters.
 """
 
 from dataclasses import dataclass, replace
@@ -124,19 +126,18 @@ def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
     return (nu_Q / 2) * (2 * ms + 1)
 
 
-def _detection_rows(sys: SpinSystem, cycle, nmr: NmrParams, mode: str) -> np.ndarray:
+def _detection_rows(sys: SpinSystem, cycle, mode: str) -> np.ndarray:
     """(2I, d^2) rows whose product with vec(rho) gives the cycle's mean line
     amplitudes e^{i alpha} (U rho U^dag)_{j,j-1} (I+)_{j-1,j}.
 
     U = Rz(phi) Rx(theta) Rz(-phi), Rz(phi) = exp(-i phi Iz): a pulse's rows are
     Rx(theta)'s times e^{i(alpha + phi(1 + m_a - m_b))} = v_a conj(u_b) on entry
     (a, b), u = e^{i phi m}, v = e^{i(alpha + phi)} u; summed over a cycle, this
-    mask selects the coherence order.  "fid" mode adds e^{i omega_j / nu_Q}."""
+    mask selects the coherence order.  "fid" mode adds e^{i omega_j / nu_Q} = (-1)^d."""
     ops = angular_momentum(sys)
     gain = np.diagonal(ops.Iplus, 1)
     if mode == "fid":
-        nu_Q = nmr.omega_Q / (2 * np.pi)
-        gain = gain * np.exp(2j * np.pi * _line_frequencies(sys, nu_Q) / nu_Q)
+        gain = gain * (-1.0) ** sys.d
     elif mode != "coherence":
         raise ValueError(f"unknown mode {mode!r}")
     theta, phi, alpha = np.array([(p.theta_qst, p.phi_qst, p.alpha_qst) for p in cycle]).T
@@ -150,16 +151,16 @@ def _detection_rows(sys: SpinSystem, cycle, nmr: NmrParams, mode: str) -> np.nda
     return gain[:, None] * rows.reshape(sys.d - 1, -1) / len(cycle)
 
 
-def _measurement_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
+def _measurement_map(sys: SpinSystem, cycles, mode: str) -> np.ndarray:
     """M of shape (n_cycles 2I + 1, d^2): each cycle's mean detection rows
     stacked cycle by cycle, then the trace row vec(1).  Read-only and
-    compiled once per (spin, cycles, nmr, mode)."""
-    return _compiled_map(sys, tuple(map(tuple, cycles)), nmr, mode)
+    compiled once per (spin, cycles, mode)."""
+    return _compiled_map(sys, tuple(map(tuple, cycles)), mode)
 
 
 @lru_cache(maxsize=4)
-def _compiled_map(sys: SpinSystem, cycles, nmr: NmrParams, mode: str) -> np.ndarray:
-    rows = [_detection_rows(sys, cycle, nmr, mode) for cycle in cycles]
+def _compiled_map(sys: SpinSystem, cycles, mode: str) -> np.ndarray:
+    rows = [_detection_rows(sys, cycle, mode) for cycle in cycles]
     M = np.vstack(rows + [np.eye(sys.d).reshape(1, -1)])
     M.setflags(write=False)
     return M
@@ -175,7 +176,7 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     """
     require_hermitian(rho, "density matrix")
     freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
-    return SpectrumLines(freqs, _detection_rows(sys, [pulse], nmr, mode) @ rho.ravel())
+    return SpectrumLines(freqs, _detection_rows(sys, [pulse], mode) @ rho.ravel())
 
 
 def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
@@ -211,7 +212,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     spectrum (before cycle summation), drawn pulse by pulse in cycle order.
     """
     require_hermitian(rho, "density matrix")
-    B = _measurement_map(sys, cycles, nmr, mode) @ rho.ravel()
+    B = _measurement_map(sys, cycles, mode) @ rho.ravel()
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma
         sizes = np.array([len(cycle) for cycle in cycles])
@@ -228,7 +229,7 @@ def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
     operators; rows are cycled line amplitudes plus the trace row.  One SVD
     gives the rank, the conditioning and the pseudo-inverse."""
     keys = tensor_keys(sys)
-    A = _measurement_map(sys, cycles, nmr, mode) @ tensor_stack(sys).reshape(len(keys), -1).T
+    A = _measurement_map(sys, cycles, mode) @ tensor_stack(sys).reshape(len(keys), -1).T
     U, svals, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int((svals > SVD_CUTOFF * svals[0]).sum())
     if rank < len(keys):

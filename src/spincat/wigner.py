@@ -8,9 +8,13 @@ The coefficients <T_KQ> are one product of the tensor stack with vec(rho).
 As Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, a grid map is separable:
 harmonics on the polar nodes, then one product with e^{iQ phi}, which is
 exact for any n_phi where an FFT over phi would fold orders |Q| >= n_phi/2.
+The nodes, weights, Y_KQ(theta, 0) and e^{iQ phi} depend on the spin and
+the grid alone: they are built once per (2I, n_theta, n_phi) and kept
+read-only, so a map costs the coefficients and one product.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +27,7 @@ def _coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
     """Tr(rho T_KQ^dag) in tensor_keys order, as one product with vec(rho)."""
     if rho.shape != (sys.d, sys.d):
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    return tensor_stack(sys).reshape(sys.d ** 2, -1).conj() @ rho.ravel()
+    return (tensor_stack(sys).reshape(sys.d ** 2, -1) @ rho.conj().ravel()).conj()
 
 
 def tensor_expectations(sys: SpinSystem, rho: np.ndarray) -> dict:
@@ -78,6 +82,18 @@ def _grid_nodes(n_theta, n_phi):
     return theta, w * (2 * np.pi / n_phi), phi
 
 
+@lru_cache(maxsize=4)
+def _grid_factors(twoI: int, n_theta: int, n_phi: int):
+    """Read-only (theta, weights, phi, Y, E) of a spin-2I/2 map on an n_theta x n_phi
+    grid: the nodes, Y = Y_KQ(theta, 0) as (n_theta, d^2) and E = e^{iQ phi} as (d^2, n_phi)."""
+    theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
+    K, Q = np.array(tensor_keys(SpinSystem(twoI / 2))).T
+    Y, E = _polar_harmonics(K, Q, theta), np.exp(1j * np.outer(Q, phi))
+    for a in (theta, wtheta, phi, Y, E):
+        a.setflags(write=False)
+    return theta, wtheta, phi, Y.T, E
+
+
 def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
     """W evaluated at arbitrary angles (vectorized over theta/phi arrays)."""
     require_hermitian(rho, "density matrix")
@@ -93,11 +109,9 @@ def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
     require_hermitian(rho, "density matrix")
     if n_theta < MIN_GRID or n_phi < MIN_GRID:
         raise ValueError(f"grid sizes below {MIN_GRID} make the quadrature unreliable")
-    theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
     coeffs = _coefficients(sys, rho)
-    K, Q = np.array(tensor_keys(sys)).T
-    Y = _polar_harmonics(K, Q, theta)
-    values = np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))
+    theta, wtheta, phi, Y, E = _grid_factors(round(2 * sys.I), n_theta, n_phi)
+    values = np.sqrt(sys.d / (4 * np.pi)) * (Y * coeffs) @ E
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("imaginary residue exceeds tolerance; rho not Hermitian enough")
     return WignerGrid(theta, phi, values.real, wtheta)

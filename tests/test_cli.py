@@ -92,6 +92,21 @@ def test_grid_must_resolve_spin(tmp_path, capsys):
     assert validate_config({**cfg, "n_theta": 21, "n_phi": 21}).n_phi == 21
 
 
+@pytest.mark.parametrize("field,bound,outside", [
+    ("n_theta", 2048, 4096), ("n_phi", 2048, 10**9), ("nu_Q", 1, 1e-300),
+    ("noise_sigma", 1000, 1e308)])
+def test_value_outside_bounds_exit_code(tmp_path, capsys, field, bound, outside):
+    # a 1e9-node grid would exhaust memory, nu_Q = 1e-300 Hz gives a cat time
+    # of 5e299 s and noise_sigma = 1e308 overflows: each is refused up front
+    assert validate_config({**GOOD, field: bound})
+    p = write_config(tmp_path, {**GOOD, field: outside})
+    assert main(["validate", "--config", str(p)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_run_missing_config_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2

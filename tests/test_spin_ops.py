@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spincat.spin_ops import (SpinSystem, angular_momentum, expm_hermitian,
-                              reduced_wigner_d, rotation_operator,
+from spincat.dynamics import NmrParams, nmr_hamiltonian
+from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, angular_momentum, expm_hermitian,
+                              reduced_wigner_d, require_hermitian, rotation_operator,
                               spherical_tensor, spherical_tensor_basis,
                               tensor_keys, tensor_stack)
 
@@ -167,6 +168,21 @@ def test_expm_hermitian_unitary():
     ops = angular_momentum(sys)
     U = expm_hermitian(ops.Ix + 0.3 * ops.Iz @ ops.Iz, 2.7)
     assert np.allclose(U @ U.conj().T, np.eye(sys.d), atol=1e-12)
+
+
+def test_hermiticity_tolerance_is_relative():
+    # a rotated I = 7/2 Hamiltonian in rad/s carries round-off asymmetry far
+    # above 1e-12 but far below 1e-12 of its largest entry
+    sys = SpinSystem(3.5)
+    R = rotation_operator(sys, 0.3, 1.1, 2.0)
+    H = R @ nmr_hamiltonian(sys, NmrParams(0.0, 2 * np.pi * 25e3, 2 * np.pi * 15220.0)) @ R.conj().T
+    assert np.abs(H - H.conj().T).max() > 10 * HERMITICITY_TOL
+    U = expm_hermitian(H, 1e-6)
+    assert np.allclose(U @ U.conj().T, np.eye(sys.d), atol=1e-12)
+    # a density matrix with a 1e-9 anti-Hermitian part is still not Hermitian
+    rho = np.eye(sys.d) / sys.d + 1e-9j * np.ones((sys.d, sys.d))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(rho, "density matrix")
 
 
 def test_invalid_spin():

@@ -228,6 +228,7 @@ def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
 def test_measure_reuses_compiled_map(monkeypatch):
     # build_design_matrix compiles the measurement map; measuring with an
     # equal, freshly built pulse set must not compile it again
+    tomography._compiled_map.cache_clear()
     calls = []
     detection_rows = tomography._detection_rows
 
@@ -245,6 +246,38 @@ def test_measure_reuses_compiled_map(monkeypatch):
     noisy = measure(SYS, rho, pulse_set(SYS), nmr, noise_sigma=0.1, seed=3)
     assert len(calls) == compiled
     assert not np.array_equal(clean, noisy)
+
+
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+def test_map_compiled_once_across_nu_q(monkeypatch, mode):
+    # no map depends on nu_Q, so measuring at a second nu_Q reuses the first map
+    tomography._compiled_map.cache_clear()
+    calls = []
+    detection_rows = tomography._detection_rows
+
+    def counted(*args):
+        calls.append(1)
+        return detection_rows(*args)
+
+    monkeypatch.setattr(tomography, "_detection_rows", counted)
+    rho = random_density(np.random.default_rng(14))
+    first = measure(SYS, rho, pulse_set(SYS), NMR, mode)
+    compiled = len(calls)
+    assert compiled > 0
+    second = measure(SYS, rho, pulse_set(SYS), NmrParams(0.0, 0.0, 2 * np.pi * 12345.0), mode)
+    assert len(calls) == compiled
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("spin", [1.5, 2.0, 3.5])
+def test_fid_map_is_signed_coherence_map(spin):
+    # the delay 1/nu_Q turns the line at (nu_Q/2)(2m+1) by pi(2m+1): (-1)^d exactly
+    sys = SpinSystem(spin)
+    cycles = pulse_set(sys)
+    fid = tomography._measurement_map(sys, cycles, "fid")
+    coherence = tomography._measurement_map(sys, cycles, "coherence")
+    assert np.array_equal(fid[:-1], (-1) ** sys.d * coherence[:-1])
+    assert np.array_equal(fid[-1], coherence[-1])
 
 
 def test_add_line_noise_contracts():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincat.spin_ops import (SpinSystem, euler_rotation_matrix,
-                              rotation_operator, spherical_tensor)
+from spincat import wigner
+from spincat.spin_ops import (SpinSystem, euler_rotation_matrix, rotation_operator,
+                              spherical_tensor, tensor_keys, tensor_stack)
 from spincat.states import cat_state, coherent_state, projector
 from spincat.wigner import (WignerGrid, _grid_nodes, _polar_harmonics, grid_argmax,
                             integrate_sphere, read_csv, spherical_harmonic,
@@ -222,3 +223,68 @@ def test_csv_matches_cell_by_cell_format(tmp_path):
         f"{th:.17g},{ph:.17g},{values[i, j]:.17g}\n"
         for i, th in enumerate(theta) for j, ph in enumerate(phi))
     assert (tmp_path / "w.csv").read_bytes() == want.encode()
+
+
+def uncached_map(sys, rho, n_theta, n_phi):
+    """The synthesis with every grid factor built afresh."""
+    theta, _, phi = _grid_nodes(n_theta, n_phi)
+    coeffs = tensor_stack(sys).reshape(sys.d ** 2, -1).conj() @ rho.ravel()
+    K, Q = np.array(tensor_keys(sys)).T
+    Y = _polar_harmonics(K, Q, theta)
+    return (np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))).real
+
+
+@pytest.mark.parametrize("I", [1.5, 3.5, 7.5, 20])
+@pytest.mark.parametrize("n_theta,n_phi", [(64, 128), (9, 13)])
+def test_cached_grid_factors_bit_identical(I, n_theta, n_phi):
+    sys = SpinSystem(I)
+    rng = np.random.default_rng(round(2 * I))
+    wigner._grid_factors.cache_clear()
+    for _ in range(3):  # one cold map, then warm ones
+        rho = random_density(sys, rng)
+        grid = wigner_function(sys, rho, n_theta, n_phi)
+        assert np.array_equal(grid.values, uncached_map(sys, rho, n_theta, n_phi))
+        theta, w, phi = _grid_nodes(n_theta, n_phi)
+        assert np.array_equal(grid.theta, theta) and np.array_equal(grid.phi, phi)
+        assert np.array_equal(grid.weights, w)
+
+
+def test_spins_on_one_grid_keep_their_own_factors():
+    rng = np.random.default_rng(5)
+    systems = [SpinSystem(1.5), SpinSystem(2.0), SpinSystem(1.5), SpinSystem(2.0)]
+    for sys in systems:
+        rho = random_density(sys, rng)
+        assert np.array_equal(wigner_function(sys, rho, 16, 16).values,
+                              uncached_map(sys, rho, 16, 16))
+    assert wigner._grid_factors(3, 16, 16)[3].shape == (16, 16)
+    assert wigner._grid_factors(4, 16, 16)[3].shape == (16, 25)
+
+
+def test_grid_factors_built_once(monkeypatch):
+    calls = {"leggauss": 0, "harmonics": 0}
+    leggauss, harmonics = np.polynomial.legendre.leggauss, wigner._polar_harmonics
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted("leggauss", leggauss))
+    monkeypatch.setattr(wigner, "_polar_harmonics", counted("harmonics", harmonics))
+    wigner._grid_factors.cache_clear()
+    sys = SpinSystem(3.5)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        wigner_function(sys, random_density(sys, rng), 32, 48)
+    assert calls == {"leggauss": 1, "harmonics": 1}
+
+
+def test_grid_nodes_are_read_only():
+    sys = SpinSystem(1.5)
+    rho = projector(cat_state(sys, np.pi / 2, 0.0, 1))
+    grid = wigner_function(sys, rho, 16, 32)
+    for nodes in (grid.theta, grid.phi, grid.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+    assert np.array_equal(wigner_function(sys, rho, 16, 32).values, uncached_map(sys, rho, 16, 32))
