@@ -133,6 +133,14 @@ def tensor_stack(sys: SpinSystem) -> np.ndarray:
     return _tensor_stack_cached(round(2 * sys.I))
 
 
+def tensor_coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
+    """c_KQ = Tr(T_KQ^dag rho) in tensor_keys order, one product with conj(vec rho),
+    so that rho = sum_KQ c_KQ T_KQ."""
+    if rho.shape != (sys.d, sys.d):
+        raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
+    return (tensor_stack(sys).reshape(sys.d ** 2, -1) @ rho.conj().ravel()).conj()
+
+
 def reduced_wigner_d(L, theta: float) -> np.ndarray:
     """Reduced rotation matrix d^L_{m',m}(theta), rows/cols ordered m = +L..-L.
 

@@ -8,12 +8,13 @@ contribution of the coherence order q of the input density matrix (the
 detected coherence order is -1, hence the q+1).
 
 Every detected line amplitude is linear in rho, so a pulse set compiles
-into one measurement map M acting on vec(rho): one row per cycled line
-(the detection rows of the cycle's pulses, averaged) plus a trace row.
-`measure` is M vec(rho) plus seeded line noise, and the design matrix is
-M applied to the stacked tensor operators T_KQ.  The identity component
-produces no spectral lines under any rotation, so the trace row
-completes the system to full column rank d^2.
+into one map A in tensor coordinates, the design matrix: column (K, Q)
+holds the cycled line amplitudes of rho = T_KQ, plus a trace row that
+completes the system to full column rank d^2 (the identity gives no
+lines).  As a pulse is Rz(phi) Rx(theta) Rz(-phi) and T_KQ has order Q,
+the phases enter column (K, Q) only as e^{i(alpha + phi(1 + Q))}, a mask
+over the 4I+1 orders: a cycle tuned to q has no rows outside Q = q.
+`measure` is A c(rho) plus seeded line noise, c(rho) = Tr(T_KQ^dag rho).
 
 "fid" mode detects the lines at the start of acquisition, after they
 have precessed through the receiver-protection delay 1/nu_Q.  This is
@@ -26,11 +27,12 @@ the NMR parameters.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian, tensor_keys,
-                       tensor_stack, require_hermitian)
+from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian, require_hermitian,
+                       tensor_coefficients, tensor_keys, tensor_stack)
 from .dynamics import NmrParams
 
 # Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
@@ -41,8 +43,7 @@ COND_WARN = 1e6
 NUQ_JITTER_HZ = 70.0
 
 
-@dataclass(frozen=True)
-class TomographyPulse:
+class TomographyPulse(NamedTuple):
     theta_qst: float
     phi_qst: float
     alpha_qst: float
@@ -60,7 +61,7 @@ class SpectrumLines:
 
 @dataclass
 class DesignSystem:
-    matrix: np.ndarray        # (n_measurements, d^2) complex
+    matrix: np.ndarray        # (n_measurements, d^2) read-only map in tensor coordinates
     keys: list                # (L, m) column labels
     condition_number: float
     rank: int
@@ -126,44 +127,37 @@ def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
     return (nu_Q / 2) * (2 * ms + 1)
 
 
-def _detection_rows(sys: SpinSystem, cycle, mode: str) -> np.ndarray:
-    """(2I, d^2) rows whose product with vec(rho) gives the cycle's mean line
-    amplitudes e^{i alpha} (U rho U^dag)_{j,j-1} (I+)_{j-1,j}.
-
-    U = Rz(phi) Rx(theta) Rz(-phi), Rz(phi) = exp(-i phi Iz): a pulse's rows are
-    Rx(theta)'s times e^{i(alpha + phi(1 + m_a - m_b))} = v_a conj(u_b) on entry
-    (a, b), u = e^{i phi m}, v = e^{i(alpha + phi)} u; summed over a cycle, this
-    mask selects the coherence order.  "fid" mode adds e^{i omega_j / nu_Q} = (-1)^d."""
+@lru_cache(maxsize=4)
+def _tensor_map(sys: SpinSystem, cycles, mode: str) -> np.ndarray:
+    """Read-only A of shape (n_cycles 2I + 1, d^2), compiled once per (spin, cycles, mode):
+    cycle c's mean line j of rho = T_KQ is g_j e^{i(alpha + phi(1 + Q))}
+    (Rx(theta) T_KQ Rx(theta)^dag)_{j+1,j} summed over its pulses, g the I+ gain (times
+    (-1)^d in "fid" mode); one product per nutation angle.  The last row is Tr T_KQ
+    of the stored basis, sqrt(d) delta_K0 to round-off."""
     ops = angular_momentum(sys)
     gain = np.diagonal(ops.Iplus, 1)
     if mode == "fid":
         gain = gain * (-1.0) ** sys.d
     elif mode != "coherence":
         raise ValueError(f"unknown mode {mode!r}")
-    theta, phi, alpha = np.array([(p.theta_qst, p.phi_qst, p.alpha_qst) for p in cycle]).T
-    u = np.exp(1j * np.outer(phi, sys.m_values))
-    v = np.exp(1j * (alpha + phi))[:, None] * u
-    rows = 0
-    for angle in sorted(set(theta)):  # np.unique imports numpy.ma: ~30 ms a fresh run
-        at = theta == angle
+    twoI = sys.d - 1
+    orders = np.arange(-twoI, twoI + 1)
+    column_order = np.array(tensor_keys(sys))[:, 1] + twoI  # index into orders
+    stack = tensor_stack(sys).reshape(sys.d ** 2, -1).T
+    pulses = [np.array(cycle) for cycle in cycles]
+    L = {}
+    for angle in sorted(set(np.concatenate(pulses)[:, 0])):  # np.unique imports numpy.ma
         R = expm_hermitian(ops.Ix, angle)
-        rows = rows + R[1:, :, None] * R[:-1, None, :].conj() * (v[at].T @ u[at].conj())
-    return gain[:, None] * rows.reshape(sys.d - 1, -1) / len(cycle)
-
-
-def _measurement_map(sys: SpinSystem, cycles, mode: str) -> np.ndarray:
-    """M of shape (n_cycles 2I + 1, d^2): each cycle's mean detection rows
-    stacked cycle by cycle, then the trace row vec(1).  Read-only and
-    compiled once per (spin, cycles, mode)."""
-    return _compiled_map(sys, tuple(map(tuple, cycles)), mode)
-
-
-@lru_cache(maxsize=4)
-def _compiled_map(sys: SpinSystem, cycles, mode: str) -> np.ndarray:
-    rows = [_detection_rows(sys, cycle, mode) for cycle in cycles]
-    M = np.vstack(rows + [np.eye(sys.d).reshape(1, -1)])
-    M.setflags(write=False)
-    return M
+        L[angle] = (R[1:, :, None] * R[:-1, None, :].conj()).reshape(twoI, -1) @ stack
+    A = np.empty((len(pulses) * twoI + 1, sys.d ** 2), dtype=complex)  # no row list: one copy
+    for c, (theta, phi, alpha) in enumerate(p.T for p in pulses):
+        phase = np.exp(1j * (alpha[:, None] + np.outer(phi, 1 + orders)))
+        mean = sum(L[angle] * phase[theta == angle].sum(axis=0)[column_order]
+                   for angle in sorted(set(theta)))
+        A[c * twoI:(c + 1) * twoI] = gain[:, None] * mean / len(theta)
+    A[-1] = np.eye(sys.d).ravel() @ stack
+    A.setflags(write=False)
+    return A
 
 
 def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse,
@@ -176,7 +170,9 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     """
     require_hermitian(rho, "density matrix")
     freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
-    return SpectrumLines(freqs, _detection_rows(sys, [pulse], mode) @ rho.ravel())
+    # uncached: single pulses must not evict the pulse set's map
+    A = _tensor_map.__wrapped__(sys, [[pulse]], mode)
+    return SpectrumLines(freqs, A[:-1] @ tensor_coefficients(sys, rho))
 
 
 def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
@@ -212,7 +208,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     spectrum (before cycle summation), drawn pulse by pulse in cycle order.
     """
     require_hermitian(rho, "density matrix")
-    B = _measurement_map(sys, cycles, mode) @ rho.ravel()
+    B = _tensor_map(sys, tuple(map(tuple, cycles)), mode) @ tensor_coefficients(sys, rho)
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma
         sizes = np.array([len(cycle) for cycle in cycles])
@@ -225,11 +221,11 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
-    """Columns are the measurement vectors of the unit-coefficient tensor
-    operators; rows are cycled line amplitudes plus the trace row.  One SVD
-    gives the rank, the conditioning and the pseudo-inverse."""
+    """The pulse set's compiled map in tensor coordinates, rows the cycled line
+    amplitudes plus the trace row.  One SVD of it gives the rank, the
+    conditioning and the pseudo-inverse."""
     keys = tensor_keys(sys)
-    A = _measurement_map(sys, cycles, mode) @ tensor_stack(sys).reshape(len(keys), -1).T
+    A = _tensor_map(sys, tuple(map(tuple, cycles)), mode)
     U, svals, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int((svals > SVD_CUTOFF * svals[0]).sum())
     if rank < len(keys):

@@ -4,7 +4,7 @@ W(theta, phi) = sqrt((2I+1)/4pi) sum_KQ <T_KQ> Y_KQ(theta, phi), evaluated
 on a Gauss-Legendre (in cos theta) x uniform (in phi) grid.  With the
 orthonormal tensor convention the map integrates to exactly Tr(rho).
 
-The coefficients <T_KQ> are one product of the tensor stack with vec(rho).
+The coefficients <T_KQ> are spin_ops.tensor_coefficients, one product.
 As Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, a grid map is separable:
 harmonics on the polar nodes, then one product with e^{iQ phi}, which is
 exact for any n_phi where an FFT over phi would fold orders |Q| >= n_phi/2.
@@ -18,21 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import SpinSystem, require_hermitian, tensor_keys, tensor_stack
+from .spin_ops import SpinSystem, require_hermitian, tensor_coefficients, tensor_keys
 
 MIN_GRID = 8
 
 
-def _coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
-    """Tr(rho T_KQ^dag) in tensor_keys order, as one product with vec(rho)."""
-    if rho.shape != (sys.d, sys.d):
-        raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    return (tensor_stack(sys).reshape(sys.d ** 2, -1) @ rho.conj().ravel()).conj()
-
-
 def tensor_expectations(sys: SpinSystem, rho: np.ndarray) -> dict:
     """Coefficients Tr(rho T_KQ^dag) for every (K, Q)."""
-    return dict(zip(tensor_keys(sys), _coefficients(sys, rho).tolist()))
+    return dict(zip(tensor_keys(sys), tensor_coefficients(sys, rho).tolist()))
 
 
 def spherical_harmonic(K: int, Q: int, theta, phi):
@@ -109,11 +102,11 @@ def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
     require_hermitian(rho, "density matrix")
     if n_theta < MIN_GRID or n_phi < MIN_GRID:
         raise ValueError(f"grid sizes below {MIN_GRID} make the quadrature unreliable")
-    coeffs = _coefficients(sys, rho)
+    coeffs = tensor_coefficients(sys, rho)
     theta, wtheta, phi, Y, E = _grid_factors(round(2 * sys.I), n_theta, n_phi)
     values = np.sqrt(sys.d / (4 * np.pi)) * (Y * coeffs) @ E
-    if np.abs(values.imag).max() > 1e-10:
-        raise ValueError("imaginary residue exceeds tolerance; rho not Hermitian enough")
+    if np.abs(values.imag).max() > 1e-10 * max(1.0, np.abs(values).max()):
+        raise ValueError("imaginary residue above 1e-10 max(1, |W|max): rho not Hermitian")
     return WignerGrid(theta, phi, values.real, wtheta)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spincat
-from spincat.cli import main
+from spincat.cli import main, run_experiment
 from spincat.config import (CONFIG_SCHEMA, ConfigError, ExperimentConfig, PRESETS,
                             _check_schema, get_preset, load_config, validate_config)
 
@@ -166,6 +166,48 @@ def test_schema_check_matches_jsonschema(data):
         assert any(f": {k}: " in str(exc) or f"'{k}'" in str(exc) for k in bad), str(exc)
     else:
         assert not errors, [e.message for e in errors]
+
+
+# a run costs little at spin <= 7/2 on grids <= 48 with <= 3 checkpoints; now and then
+# a value the schema or ExperimentConfig rejects, but never a valid larger problem
+_RUNNABLE = {
+    "spin": st.integers(1, 7).map(lambda n: n / 2),
+    "n_theta": st.integers(8, 48),
+    "n_phi": st.integers(8, 48),
+    "checkpoints": st.lists(st.integers(0, 4), min_size=1, max_size=3),
+}
+_REJECTED = st.sampled_from([None, True, "1", [], {}, -1, 0, 0.25, 1.2, 7, 7.5, 2049,
+                             [-1], [0.5]])
+
+
+def _runnable_value(key):
+    near = _RUNNABLE.get(key, _near(_PROPS[key]))
+    return st.integers(0, 19).flatmap(lambda i: _REJECTED if i == 0 else near)
+
+
+_FIXED = CONFIG_SCHEMA["required"] + ["n_theta", "n_phi"]
+_SMALL_CONFIGS = st.fixed_dictionaries(
+    {k: _runnable_value(k) for k in _FIXED},
+    optional={**{k: _runnable_value(k) for k in _PROPS if k not in _FIXED},
+              "spni": st.integers(1, 3)})  # a misspelt key
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_SMALL_CONFIGS)
+def test_any_config_is_rejected_by_name_or_runs(data, tmp_path_factory):
+    try:
+        cfg = validate_config(data)
+    except ConfigError as exc:
+        keys = set(data) | set(CONFIG_SCHEMA["required"])
+        assert any(f": {k}" in str(exc) or f"'{k}'" in str(exc) for k in keys), str(exc)
+        return
+    out = tmp_path_factory.mktemp("run")
+    report = run_experiment(cfg, out)
+    assert [cp["k"] for cp in report["checkpoints"]] == list(cfg.checkpoints)
+    for cp in report["checkpoints"]:
+        rho = np.array(json.loads((out / f"rho_{cp['k']}.json").read_text())["rho_re"])
+        assert math.isfinite(cp["fidelity"])
+        assert abs(cp["wigner_integral"] - np.trace(rho)) <= 1e-9 * max(1.0, np.abs(rho).max())
 
 
 def test_invalid_json_file(tmp_path):

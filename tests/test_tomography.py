@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from spincat.dynamics import NmrParams
-from spincat.spin_ops import SpinSystem, angular_momentum, spherical_tensor_basis
+from spincat.spin_ops import (SpinSystem, angular_momentum, spherical_tensor_basis,
+                              tensor_stack)
 from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
 from spincat.tomography import (FID_DWELL, FID_POINTS, SpectrumLines,
@@ -225,47 +226,33 @@ def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
     assert np.abs(noisy - expected).max() < 1e-12
 
 
-def test_measure_reuses_compiled_map(monkeypatch):
+def test_measure_reuses_compiled_map():
     # build_design_matrix compiles the measurement map; measuring with an
-    # equal, freshly built pulse set must not compile it again
-    tomography._compiled_map.cache_clear()
-    calls = []
-    detection_rows = tomography._detection_rows
-
-    def counted(*args):
-        calls.append(1)
-        return detection_rows(*args)
-
-    monkeypatch.setattr(tomography, "_detection_rows", counted)
+    # equal, freshly built pulse set must not compile it again, and a
+    # single-pulse spectrum neither compiles nor evicts a cached map
+    tomography._tensor_map.cache_clear()
     nmr = NmrParams(0.0, 0.0, 2 * np.pi * 12345.0)
     build_design_matrix(SYS, pulse_set(SYS), nmr)
-    compiled = len(calls)
+    compiled = tomography._tensor_map.cache_info().misses
     assert compiled > 0
     rho = random_density(np.random.default_rng(13))
     clean = measure(SYS, rho, pulse_set(SYS), nmr)
+    synthesize_spectrum(SYS, rho, pulse_set(SYS)[1][2], nmr)
     noisy = measure(SYS, rho, pulse_set(SYS), nmr, noise_sigma=0.1, seed=3)
-    assert len(calls) == compiled
+    assert tomography._tensor_map.cache_info().misses == compiled
     assert not np.array_equal(clean, noisy)
 
 
 @pytest.mark.parametrize("mode", ["coherence", "fid"])
-def test_map_compiled_once_across_nu_q(monkeypatch, mode):
+def test_map_compiled_once_across_nu_q(mode):
     # no map depends on nu_Q, so measuring at a second nu_Q reuses the first map
-    tomography._compiled_map.cache_clear()
-    calls = []
-    detection_rows = tomography._detection_rows
-
-    def counted(*args):
-        calls.append(1)
-        return detection_rows(*args)
-
-    monkeypatch.setattr(tomography, "_detection_rows", counted)
+    tomography._tensor_map.cache_clear()
     rho = random_density(np.random.default_rng(14))
     first = measure(SYS, rho, pulse_set(SYS), NMR, mode)
-    compiled = len(calls)
+    compiled = tomography._tensor_map.cache_info().misses
     assert compiled > 0
     second = measure(SYS, rho, pulse_set(SYS), NmrParams(0.0, 0.0, 2 * np.pi * 12345.0), mode)
-    assert len(calls) == compiled
+    assert tomography._tensor_map.cache_info().misses == compiled
     assert np.array_equal(first, second)
 
 
@@ -274,10 +261,43 @@ def test_fid_map_is_signed_coherence_map(spin):
     # the delay 1/nu_Q turns the line at (nu_Q/2)(2m+1) by pi(2m+1): (-1)^d exactly
     sys = SpinSystem(spin)
     cycles = pulse_set(sys)
-    fid = tomography._measurement_map(sys, cycles, "fid")
-    coherence = tomography._measurement_map(sys, cycles, "coherence")
+    fid = tomography._tensor_map.__wrapped__(sys, cycles, "fid")
+    coherence = tomography._tensor_map.__wrapped__(sys, cycles, "coherence")
     assert np.array_equal(fid[:-1], (-1) ** sys.d * coherence[:-1])
     assert np.array_equal(fid[-1], coherence[-1])
+
+
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+@pytest.mark.parametrize("spin", [1.5, 3.5])
+def test_design_columns_match_expm_reference(spin, mode):
+    # column (K, Q) is the cycle-averaged line amplitudes of rho = T_KQ from
+    # per-pulse unitaries; a cycle tuned to q has no weight outside Q = q
+    sys = SpinSystem(spin)
+    ops = angular_momentum(sys)
+    cycles = pulse_set(sys)
+    design = build_design_matrix(sys, cycles, NMR, mode)
+    lower = np.arange(1, sys.d)
+    gain = ops.Iplus[lower - 1, lower] * ((-1.0) ** sys.d if mode == "fid" else 1.0)
+    expected = []
+    for cycle in cycles:
+        acc = 0
+        for theta, phi, alpha in cycle:
+            U = expm(-1j * theta * (np.cos(phi) * ops.Ix + np.sin(phi) * ops.Iy))
+            rot = np.einsum("ab,nbc,dc->nad", U, tensor_stack(sys), U.conj())
+            acc = acc + np.exp(1j * alpha) * rot[:, lower, lower - 1] * gain
+        expected.append((acc / len(cycle)).T)
+    traces = np.trace(tensor_stack(sys), axis1=1, axis2=2)
+    expected = np.vstack(expected + [traces])
+    assert np.abs(design.matrix - expected).max() < 1e-12
+    # pulse_set order: the zero-order quadruple, then orders -2I..2I per nutation angle
+    twoI = sys.d - 1
+    tuned = list(range(-twoI, twoI + 1)) * 2
+    Q = np.array([Q for _, Q in design.keys])
+    blocks = design.matrix[:-1].reshape(len(cycles), twoI, -1)[1:]
+    assert len(tuned) == len(blocks)
+    for q, block in zip(tuned, blocks):
+        assert np.abs(block[:, Q != q]).max() < 1e-13, q
+        assert np.abs(block[:, Q == q]).max() > 1e-3, q
 
 
 def test_add_line_noise_contracts():

@@ -186,6 +186,18 @@ def test_linearity():
     assert np.abs(0.3 * g1.values + 0.7 * g2.values - g12.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("I, scale", [(7.5, 1e5), (1.5, 1e7)])
+def test_scaled_hermitian_matrix_maps_to_scaled_map(I, scale):
+    # the imaginary-residue guard is relative to |W|max, as the Hermiticity check is
+    # to |rho|max: an exactly Hermitian rho at a large scale maps without error
+    sys = SpinSystem(I)
+    A = np.random.default_rng(31).normal(size=(sys.d, sys.d, 2)) @ [1, 1j]
+    rho = A + A.conj().T
+    unit = wigner_function(sys, rho).values
+    scaled = wigner_function(sys, scale * rho).values
+    assert np.abs(scaled - scale * unit).max() <= 1e-12 * scale * np.abs(unit).max()
+
+
 def test_minimum_grid_size():
     sys = SpinSystem(1.5)
     rho = np.eye(4) / 4
