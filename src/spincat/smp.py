@@ -108,53 +108,45 @@ def temporal_average(sys: SpinSystem, variants, rho0: np.ndarray,
 # optimizer internals
 
 
-def _batched_segment_propagators(H_static, ops, x, dt):
-    """Propagators and their parameter derivatives for every segment.
-
-    x has shape (n_seq, n_seg, 2) = (amplitude w, phase phi).  U(w, phi) =
-    Rz(phi) U(w, 0) Rz(-phi) is U(w, 0) times e^{-i phi (m_a - m_b)} on entry
-    (a, b), so dU/dphi = -i [Iz, U].  Returns U, shape (n_seq, n_seg, d, d),
-    and dU/d(w, phi), shape (n_seq, n_seg, 2, d, d)."""
-    dm = (ops.Iz.diagonal()[:, None] - ops.Iz.diagonal()).real   # m_a - m_b
-    lam, V = np.linalg.eigh(H_static.real + x[..., 0, None, None] * ops.Ix.real)
-    e = np.exp(-1j * lam * dt)
-    Vt = np.swapaxes(V, -1, -2)
-    # Loewner kernel for the Frechet derivative of exp(-i H dt) along Ix
-    L = lam[..., :, None] - lam[..., None, :]
-    num = e[..., :, None] - e[..., None, :]
-    small = np.abs(L) < 1e-12 * np.maximum(1.0, np.abs(lam).max())
-    mid = np.exp(-1j * dt * (lam[..., :, None] + lam[..., None, :]) / 2)
-    G = np.where(small, -1j * dt * mid, num / np.where(small, 1.0, L))
-    phase = np.exp(-1j * x[..., 1, None, None] * dm)
-    U = (V * e[..., None, :]) @ Vt * phase
-    dU_dw = V @ (G * (Vt @ ops.Ix.real @ V)) @ Vt * phase
-    return U, np.stack([dU_dw, -1j * dm * U], axis=2)
-
-
 def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants, n_seg):
     """Negative fidelity of the temporal-averaged evolved deviation against
-    the target deviation, with its exact gradient in GRAPE form: segment k's
-    derivative sits between the products of the segments before and after it."""
-    U, dU = _batched_segment_propagators(H_static, ops, x.reshape(n_variants, n_seg, 2), dt)
-    # pre[:, k] = U_{k-1} ... U_0 and suf[:, k] = U_{n_seg-1} ... U_k
-    pre = np.empty((n_variants, n_seg + 1, sys.d, sys.d), dtype=complex)
-    suf = np.empty_like(pre)
-    pre[:, 0] = suf[:, n_seg] = np.eye(sys.d)
-    for k, j in zip(range(n_seg), reversed(range(n_seg))):
-        pre[:, k + 1] = U[:, k] @ pre[:, k]
-        suf[:, j] = suf[:, j + 1] @ U[:, j]
-    Utot = pre[:, -1]
-    Utot_h = np.swapaxes(Utot, -1, -2).conj()
+    the target deviation, and its exact GRAPE gradient in each segment's
+    eigenbasis: U_k = W diag(h^2) W^H with lam, V from the real eigh of
+    H_static + w Ix, h = exp(-i lam dt/2) and W = Rz(phi) V.  With the prefix
+    P_k = U_{k-1} ... U_0 and A = rho0 Utot^H M Utot (M = dF/d rho_bar), the
+    derivative along segment k is 2 Re Tr(U_k^H dU_k Y_k), Y_k = P_k A P_k^H.
+    Phase: dU/dphi = -i [Iz, U] and U_k Y_k U_k^H = Y_{k+1} give
+    2 Im sum_a m_a (Y_{k+1} - Y_k)_aa.  Amplitude: with B_k = W^H P_k,
+    2 Re sum_ij C_ij (B_k A B_k^H)_ji, C_ij = -i dt conj(h_i) h_j (V^T Ix V)_ij
+    sinc(dt (lam_i - lam_j) / 2): the Loewner divided difference, degenerate
+    limit included.  Products with A on the right run one per variant."""
+    x = x.reshape(n_variants, n_seg, 2)
+    m = ops.Iz.diagonal().real
+    lam, V = np.linalg.eigh(H_static.real + x[..., 0, None, None] * ops.Ix.real)
+    h = np.exp(-0.5j * dt * lam)
+    W = np.exp(-1j * x[..., 1, None, None] * m[:, None]) * V
+    Wh = np.swapaxes(W, -1, -2).conj()
+    U = (W * (h * h)[..., None, :]) @ Wh
+    P = np.empty((n_variants, n_seg + 1, sys.d, sys.d), dtype=complex)
+    P[:, 0] = np.eye(sys.d)
+    for k in range(n_seg):
+        P[:, k + 1] = U[:, k] @ P[:, k]
+    Utot, Utot_h = P[:, -1], np.swapaxes(P[:, -1], -1, -2).conj()
     rho_bar = (Utot @ rho0 @ Utot_h).mean(axis=0)
     nt = np.linalg.norm(target)
-    a = np.trace(rho_bar @ target).real
-    b = np.trace(rho_bar @ rho_bar).real
+    a, b = np.trace(rho_bar @ target).real, np.trace(rho_bar @ rho_bar).real
     F = a / (np.sqrt(b) * nt)
-    # dF = Tr(drho_bar M) with M the derivative of the normalized overlap
     M = target / (np.sqrt(b) * nt) - (a / (nt * b ** 1.5)) * rho_bar
-    right = pre[:, :-1] @ (rho0 @ Utot_h @ M)[:, None] @ suf[:, 1:]
-    grad = 2 * np.einsum("vkcij,vkji->vkc", dU, right).real / n_variants
-    return -F, -grad.ravel()
+    A = rho0 @ Utot_h @ M @ Utot
+    PA = (P.reshape(n_variants, -1, sys.d) @ A).reshape(P.shape)
+    phase = 2 * np.diff((PA * P.conj()).sum(-1) @ m, axis=1).imag   # (Y_k)_aa from P_k A
+    L = lam[..., :, None] - lam[..., None, :]
+    C = (-1j * dt * h.conj()[..., :, None] * h[..., None, :] * np.sinc(dt * L / (2 * np.pi))
+         * (np.swapaxes(V, -1, -2) @ ops.Ix.real @ V))
+    B = Wh @ P[:, :-1]
+    BA = (B.reshape(n_variants, -1, sys.d) @ A).reshape(B.shape)
+    amp = 2 * np.einsum("vkij,vkji->vk", C, BA @ np.swapaxes(B, -1, -2).conj()).real
+    return -F, -np.stack([amp, phase], axis=-1).ravel() / n_variants
 
 
 def _problem(sys, nmr, target_state, rho0):
@@ -178,6 +170,7 @@ class SmpResult:
     fidelity: float
     history: list             # best objective value after each evaluation
     evaluations: int
+    starts: list  # per start run: L-BFGS-B message, nit, nfev and its best fidelity
 
     @property
     def sequence(self) -> PulseSequence:
@@ -224,36 +217,40 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         return np.stack([rng.uniform(0.3, 1.0, size=shape) * amplitude_cap,
                          rng.uniform(0, 2 * np.pi, size=shape)], axis=-1).ravel()
 
-    def objective(x):
-        return _objective_and_gradient(x, sys, H_static, ops, delta_t, rho0,
-                                       target, n_variants, n_segments)
-
-    history = []
+    args = (sys, H_static, ops, delta_t, rho0, target, n_variants, n_segments)
+    history, values, starts = [], [], []
     best_f, best_x = np.inf, None
 
     def fun(x):
         nonlocal best_f, best_x
         if len(history) == budget:
             raise _BudgetSpent
-        f, g = objective(x)
+        f, g = _objective_and_gradient(x, *args)
         if f < best_f:
             best_f, best_x = f, x.copy()
         history.append(best_f)
+        values.append(f)
         return f, g
 
     if budget == 0:
         best_x = start_point()
-        best_f = objective(best_x)[0]
+        best_f = _objective_and_gradient(best_x, *args)[0]
     else:
         bounds = [(0.0, amplitude_cap), (None, None)] * (n_variants * n_segments)
-        # maxfun/maxiter at budget: scipy's defaults (15000) would end a start early
-        try:
-            for _ in range(max(1, n_starts)):
-                minimize(fun, start_point(), jac=True, method="L-BFGS-B", bounds=bounds,
-                         options={"maxfun": budget, "maxiter": budget,
-                                  "ftol": 1e-14, "gtol": 1e-11})
-        except _BudgetSpent:
-            pass
+        for _ in range(max(1, n_starts)):
+            if len(history) == budget:
+                break
+            first, steps = len(history), []
+            # maxfun/maxiter at budget: scipy's defaults (15000) would end a start early
+            try:
+                res = minimize(fun, start_point(), jac=True, method="L-BFGS-B", bounds=bounds,
+                               callback=lambda _: steps.append(None),
+                               options={"maxfun": budget, "maxiter": budget,
+                                        "ftol": 1e-14, "gtol": 1e-11})
+            except _BudgetSpent:
+                res = {"message": "budget spent", "nit": len(steps)}
+            starts.append({"message": res["message"], "nit": res["nit"],
+                           "nfev": len(history) - first, "fidelity": -min(values[first:])})
 
     xb = best_x.reshape(shape + (2,))
     variants = []
@@ -261,4 +258,4 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         segs = [PulseSegment(max(0.0, xb[v, k, 0]), xb[v, k, 1] % (2 * np.pi), delta_t)
                 for k in range(n_segments)]
         variants.append(PulseSequence(segs, {"variant": v, "fidelity": -best_f}))
-    return SmpResult(variants, -best_f, history, len(history))
+    return SmpResult(variants, -best_f, history, len(history), starts)

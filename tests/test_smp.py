@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spincat.smp
 from spincat.dynamics import NmrParams
 from spincat.smp import (PulseSegment, PulseSequence, delay, objective_for_test,
-                         optimize_smp, sequence_propagator, simulate_sequence,
-                         temporal_average)
+                         optimize_smp, segment_hamiltonian, sequence_propagator,
+                         simulate_sequence, temporal_average)
 from spincat.spin_ops import SpinSystem, angular_momentum
 from spincat.states import coherent_state, fidelity, projector, traceless_part
 
@@ -126,6 +127,59 @@ def test_gradient_off_resonance_matches_finite_differences():
     check_gradient(1.5, 2, 4, OFF_RESONANCE)
 
 
+def frechet_gradient(sys_, nmr, target, x, dt, nv, ns):
+    """-F and its gradient from scipy's expm_frechet per segment and explicit
+    prefix/suffix products, apart from the optimizer's eigenbasis kernel."""
+    ops = angular_momentum(sys_)
+    rho0, dev = ops.Iz, traceless_part(projector(target))
+
+    def chain(mats):   # mats[-1] ... mats[0]
+        out = np.eye(sys_.d)
+        for U in mats:
+            out = U @ out
+        return out
+
+    U = np.empty((nv, ns, sys_.d, sys_.d), dtype=complex)
+    dU = np.empty((nv, ns, 2, sys_.d, sys_.d), dtype=complex)
+    for v, k in np.ndindex(nv, ns):
+        w, ph = x.reshape(nv, ns, 2)[v, k]
+        H = segment_hamiltonian(sys_, PulseSegment(w, ph, dt), nmr)
+        dH = (np.cos(ph) * ops.Ix + np.sin(ph) * ops.Iy,           # d/dw
+              w * (np.cos(ph) * ops.Iy - np.sin(ph) * ops.Ix))     # d/dphi
+        for c in range(2):
+            U[v, k], dU[v, k, c] = scipy.linalg.expm_frechet(-1j * dt * H, -1j * dt * dH[c])
+    Utot = [chain(U[v]) for v in range(nv)]
+    rho = sum(Ut @ rho0 @ Ut.conj().T for Ut in Utot) / nv
+    nr, nt = np.linalg.norm(rho), np.linalg.norm(dev)
+    F = np.trace(rho @ dev).real / (nr * nt)
+    grad = np.zeros((nv, ns, 2))
+    for v, k, c in np.ndindex(nv, ns, 2):
+        dUtot = chain(U[v, k + 1:]) @ dU[v, k, c] @ chain(U[v, :k])
+        drho = (dUtot @ rho0 @ Utot[v].conj().T + Utot[v] @ rho0 @ dUtot.conj().T) / nv
+        grad[v, k, c] = (np.trace(drho @ dev).real / (nr * nt)
+                         - F * np.trace(rho @ drho).real / nr ** 2)
+    return -F, -grad
+
+
+@pytest.mark.parametrize("nmr", [NMR, OFF_RESONANCE], ids=["on", "off"])
+@pytest.mark.parametrize("I", [1.5, 2.0, 3.5])
+def test_gradient_at_zero_amplitude_matches_frechet_reference(I, nmr):
+    # L-BFGS-B's lower bound puts segments at w = 0, where H_static's +-m levels
+    # are degenerate; central differences cannot resolve the derivative there
+    sys_, nv, ns, dt = SpinSystem(I), 2, 6, 0.5e-6
+    target = coherent_state(sys_, np.pi / 2, 0.0)
+    x = random_point(np.random.default_rng(11), nv, ns).reshape(nv, ns, 2)
+    x[:, ::3, 0] = 0.0
+    x[:, 1::3, 0] = 1e-9
+    x = x.ravel()
+    f, g = objective_for_test(sys_, nmr, target, x, dt, nv, ns)
+    f_ref, g_ref = frechet_gradient(sys_, nmr, target, x, dt, nv, ns)
+    assert abs(f - f_ref) < 1e-12
+    g = g.reshape(nv, ns, 2)
+    for c in range(2):   # amplitude and phase, each on its own scale
+        assert np.abs(g[..., c] - g_ref[..., c]).max() < 1e-10 * np.abs(g_ref[..., c]).max()
+
+
 def check_objective_against_temporal_average(nmr):
     """The optimizer's objective against the independent simulation path."""
     target = coherent_state(SYS, np.pi / 2, 0.0)
@@ -201,6 +255,25 @@ def test_start_point_evaluated_once(monkeypatch, budget):
     assert sum(np.array_equal(p, points[0]) for p in points) == 1
 
 
+@pytest.mark.parametrize("budget", [1, 300, 40000])
+def test_optimizer_records_each_start(budget):
+    target = coherent_state(SYS, np.pi / 2, 0.0)
+    res = optimize_smp(SYS, NMR, target, n_segments=6, delta_t=0.5e-6,
+                       budget=budget, n_variants=2, seed=0)
+    assert sum(s["nfev"] for s in res.starts) == res.evaluations
+    assert max(s["fidelity"] for s in res.starts) == res.fidelity
+    assert all(0 <= s["nit"] <= s["nfev"] for s in res.starts)
+    assert all(s["message"] != "budget spent" for s in res.starts[:-1])
+    if budget == 1:
+        assert res.starts == [{"message": "budget spent", "nit": 0, "nfev": 1,
+                               "fidelity": res.fidelity}]
+    elif budget == 300:
+        assert res.starts[-1]["message"] == "budget spent"
+    else:   # every start converges (ftol or gtol) well inside the default budget
+        assert len(res.starts) == 3 and res.evaluations < budget
+        assert all(s["message"].startswith("CONVERGENCE") for s in res.starts)
+
+
 def test_budget_zero_returns_initial_guess():
     target = coherent_state(SYS, np.pi / 2, 0.0)
     res = optimize_smp(SYS, NMR, target, n_segments=5, delta_t=0.5e-6,
@@ -208,6 +281,7 @@ def test_budget_zero_returns_initial_guess():
     assert len(res.variants) == 2
     assert all(len(v.segments) == 5 for v in res.variants)
     assert res.fidelity < 0.99  # random guess, evaluated but not optimized
+    assert res.starts == []     # no L-BFGS-B start ran
 
 
 def test_temporal_average_contracts():

@@ -59,6 +59,17 @@ def test_tensor_orthonormality(I):
     assert np.abs(gram - np.eye(len(keys))).max() < 1e-10
 
 
+@pytest.mark.parametrize("I", [1.5, 3.5, 7.5, 12.0, 20.0])
+def test_tensor_stack_accuracy(I):
+    # the Gram matrix stays at round-off, while T_00 drifts from identity/sqrt(d)
+    # with the Casimir's norm (2.4e-14 at I = 12); pin both below their bounds
+    sys = SpinSystem(I)
+    T = tensor_stack(sys)
+    vecs = T.reshape(sys.d ** 2, -1)
+    assert np.abs(vecs.conj() @ vecs.T - np.eye(sys.d ** 2)).max() <= 1e-14
+    assert np.abs(T[0] - np.eye(sys.d) / np.sqrt(sys.d)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("I", [1.0, 1.5, 2.0])
 def test_tensor_completeness(I):
     sys = SpinSystem(I)
