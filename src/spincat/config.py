@@ -23,7 +23,7 @@ CONFIG_SCHEMA = {
         "checkpoints": {
             "type": "array",
             "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
+            "minItems": 1, "uniqueItems": True,
         },
         "mode": {"enum": ["coherence", "fid"]},
         "noise_sigma": {"type": "number", "minimum": 0, "maximum": 1000},
@@ -102,6 +102,7 @@ _KEYWORDS = {
     "maximum": lambda v, m: v <= m,
     "minItems": lambda v, n: len(v) >= n,
     "items": lambda v, spec: all(_broken(x, spec) is None for x in v),
+    "uniqueItems": lambda v, u: not u or len(set(v)) == len(v),   # after items: 1 == 1.0
 }
 
 

@@ -4,13 +4,12 @@ W(theta, phi) = sqrt((2I+1)/4pi) sum_KQ <T_KQ> Y_KQ(theta, phi), evaluated
 on a Gauss-Legendre (in cos theta) x uniform (in phi) grid.  With the
 orthonormal tensor convention the map integrates to exactly Tr(rho).
 
-The coefficients <T_KQ> are spin_ops.tensor_coefficients, one product.
-As Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, a grid map is separable:
-harmonics on the polar nodes, then one product with e^{iQ phi}, which is
-exact for any n_phi where an FFT over phi would fold orders |Q| >= n_phi/2.
-The nodes, weights, Y_KQ(theta, 0) and e^{iQ phi} depend on the spin and
-the grid alone: they are built once per (2I, n_theta, n_phi) and kept
-read-only, so a map costs the coefficients and one product.
+T_KQ lives on rho's Q-th diagonal and Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, so
+a map runs by order, as fast spherical-harmonic transforms do (Driscoll & Healy, Adv.
+Appl. Math. 15, 202 (1994)): a kernel G[Q, t, i] = sqrt(d/4pi) sum_K T_KQ[i, i+Q]
+Y_KQ(theta_t, 0) sums the ranks on the diagonals, and one product with e^{iQ phi} spreads
+the 4I + 1 orders, exact for any n_phi where an FFT would fold |Q| >= n_phi/2.  The nodes,
+G and e^{iQ phi} are built once per (2I, n_theta, n_phi) and kept read-only.
 """
 
 from dataclasses import dataclass
@@ -18,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import SpinSystem, require_hermitian, tensor_coefficients, tensor_keys
+from .spin_ops import (SpinSystem, require_hermitian, tensor_coefficients, tensor_keys,
+                       tensor_stack)
 
 MIN_GRID = 8
 
@@ -77,14 +77,22 @@ def _grid_nodes(n_theta, n_phi):
 
 @lru_cache(maxsize=4)
 def _grid_factors(twoI: int, n_theta: int, n_phi: int):
-    """Read-only (theta, weights, phi, Y, E) of a spin-2I/2 map on an n_theta x n_phi
-    grid: the nodes, Y = Y_KQ(theta, 0) as (n_theta, d^2) and E = e^{iQ phi} as (d^2, n_phi)."""
+    """Read-only (theta, weights, phi, G, idx, E) of a spin-2I/2 map on an n_theta x n_phi grid
+    for Q = -2I..2I: idx[Q, i] = flat index of rho[i, i+Q], or d^2 off rho; E = e^{iQ phi}."""
     theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
-    K, Q = np.array(tensor_keys(SpinSystem(twoI / 2))).T
-    Y, E = _polar_harmonics(K, Q, theta), np.exp(1j * np.outer(Q, phi))
-    for a in (theta, wtheta, phi, Y, E):
+    sys = SpinSystem(twoI / 2)
+    K, Q = np.array(tensor_keys(sys)).T
+    Y, T = _polar_harmonics(K, Q, theta), tensor_stack(sys).reshape(sys.d ** 2, -1).real
+    d, orders, i = sys.d, np.arange(-twoI, twoI + 1), np.arange(sys.d)
+    on = (0 <= i + orders[:, None]) & (i + orders[:, None] < d)
+    idx = np.where(on, i * (d + 1) + orders[:, None], d * d)
+    G, E = np.zeros((len(orders), n_theta, d)), np.exp(1j * np.outer(orders, phi))
+    for g, q, at, ok in zip(G, orders, idx, on):   # one order's band of the stack at a time
+        g[:, ok] = Y[Q == q].T @ T[np.ix_(Q == q, at[ok])]
+    G *= np.sqrt(d / (4 * np.pi))
+    for a in (theta, wtheta, phi, G, idx, E):
         a.setflags(write=False)
-    return theta, wtheta, phi, Y.T, E
+    return theta, wtheta, phi, G, idx, E
 
 
 def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
@@ -102,9 +110,11 @@ def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
     require_hermitian(rho, "density matrix")
     if n_theta < MIN_GRID or n_phi < MIN_GRID:
         raise ValueError(f"grid sizes below {MIN_GRID} make the quadrature unreliable")
-    coeffs = tensor_coefficients(sys, rho)
-    theta, wtheta, phi, Y, E = _grid_factors(round(2 * sys.I), n_theta, n_phi)
-    values = np.sqrt(sys.d / (4 * np.pi)) * (Y * coeffs) @ E
+    if rho.shape != (sys.d, sys.d):
+        raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
+    theta, wtheta, phi, G, idx, E = _grid_factors(round(2 * sys.I), n_theta, n_phi)
+    diagonals = np.append(rho.ravel(), 0j)[idx]   # real G acts on their (re, im) pairs
+    values = (G @ diagonals.view(float).reshape(*idx.shape, 2)).view(complex)[..., 0].T @ E
     if np.abs(values.imag).max() > 1e-10 * max(1.0, np.abs(values).max()):
         raise ValueError("imaginary residue above 1e-10 max(1, |W|max): rho not Hermitian")
     return WignerGrid(theta, phi, values.real, wtheta)

@@ -225,6 +225,20 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("checkpoints", [[1, 1, 1], [0, 2, 2.0]])
+def test_duplicate_checkpoints_exit_code(tmp_path, capsys, checkpoints):
+    # a repeated checkpoint would rewrite its files and repeat its report entry;
+    # as in JSON Schema, 2 and 2.0 are the same item
+    data = {**GOOD, "checkpoints": checkpoints}
+    assert not jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(data)
+    p = write_config(tmp_path, data)
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "checkpoints" in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert "checkpoints" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_presets_list(capsys):
     assert main(["presets", "list"]) == 0
     out = capsys.readouterr().out

@@ -207,6 +207,13 @@ def test_minimum_grid_size():
         wigner_function(sys, rho, 64, 4)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (16,)])
+def test_density_matrix_shape_checked(shape):
+    # the map gathers rho's diagonals by flat index, so a wrong shape must not reach it
+    with pytest.raises(ValueError, match="4x4"):
+        wigner_function(SpinSystem(1.5), np.ones(shape))
+
+
 def test_csv_roundtrip_and_determinism(tmp_path):
     sys = SpinSystem(1.5)
     grid = wigner_function(sys, projector(cat_state(sys, np.pi / 2, 0, 1)), 16, 32)
@@ -238,12 +245,53 @@ def test_csv_matches_cell_by_cell_format(tmp_path):
 
 
 def uncached_map(sys, rho, n_theta, n_phi):
-    """The synthesis with every grid factor built afresh."""
+    """The order-by-order synthesis with every grid factor built afresh: the kernel
+    G[Q, t, i] from each order's band of the stack, times rho's Q-th diagonal."""
+    theta, _, phi = _grid_nodes(n_theta, n_phi)
+    K, Q = np.array(tensor_keys(sys)).T
+    Y = _polar_harmonics(K, Q, theta)
+    orders = np.arange(1 - sys.d, sys.d)
+    G = np.zeros((len(orders), n_theta, sys.d))
+    diagonals = np.zeros((len(orders), sys.d), dtype=complex)
+    for g, v, q in zip(G, diagonals, orders):
+        on = slice(max(0, -q), sys.d - max(0, q))
+        band = np.diagonal(tensor_stack(sys)[Q == q].real, q, 1, 2)
+        g[:, on] = Y[Q == q].T @ np.ascontiguousarray(band)
+        v[on] = np.diagonal(rho, q)
+    G *= np.sqrt(sys.d / (4 * np.pi))
+    pairs = G @ diagonals.view(float).reshape(len(orders), sys.d, 2)
+    return (pairs.view(complex)[..., 0].T @ np.exp(1j * np.outer(orders, phi))).real
+
+
+def harmonic_sum_map(sys, rho, n_theta, n_phi):
+    """The map as a sum of all d^2 harmonics: c_KQ Y_KQ(theta, 0) e^{iQ phi}."""
     theta, _, phi = _grid_nodes(n_theta, n_phi)
     coeffs = tensor_stack(sys).reshape(sys.d ** 2, -1).conj() @ rho.ravel()
     K, Q = np.array(tensor_keys(sys)).T
     Y = _polar_harmonics(K, Q, theta)
     return (np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))).real
+
+
+@pytest.mark.parametrize("I", [0.5, 1, 1.5, 2, 3.5, 7.5, 12, 20])
+@pytest.mark.parametrize("n_theta,n_phi", [(64, 128), (9, 13)])
+def test_kernel_map_matches_harmonic_sum(I, n_theta, n_phi):
+    # summing the ranks first on rho's diagonals changes only the round-off
+    sys = SpinSystem(I)
+    rng = np.random.default_rng(round(4 * I))
+    for rho in (random_density(sys, rng), projector(cat_state(sys, np.pi / 2, 0.0, 1))):
+        want = harmonic_sum_map(sys, rho, n_theta, n_phi)
+        got = wigner_function(sys, rho, n_theta, n_phi).values
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("I", [1.5, 7.5])
+def test_imaginary_residue_guard_reads_the_map(monkeypatch, I):
+    # with the Hermiticity check switched off, the map itself still shows Im W
+    monkeypatch.setattr(wigner, "require_hermitian", lambda *args: None)
+    sys = SpinSystem(I)
+    rho = np.random.default_rng(3).normal(size=(sys.d, sys.d, 2)) @ [1, 1j]
+    with pytest.raises(ValueError, match="imaginary residue"):
+        wigner_function(sys, rho)
 
 
 @pytest.mark.parametrize("I", [1.5, 3.5, 7.5, 20])
@@ -268,8 +316,8 @@ def test_spins_on_one_grid_keep_their_own_factors():
         rho = random_density(sys, rng)
         assert np.array_equal(wigner_function(sys, rho, 16, 16).values,
                               uncached_map(sys, rho, 16, 16))
-    assert wigner._grid_factors(3, 16, 16)[3].shape == (16, 16)
-    assert wigner._grid_factors(4, 16, 16)[3].shape == (16, 25)
+    assert wigner._grid_factors(3, 16, 16)[3].shape == (7, 16, 4)
+    assert wigner._grid_factors(4, 16, 16)[3].shape == (9, 16, 5)
 
 
 def test_grid_factors_built_once(monkeypatch):
