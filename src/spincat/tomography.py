@@ -7,14 +7,17 @@ N steps with receiver phases -(q+1) * phase and summing isolates the
 contribution of the coherence order q of the input density matrix (the
 detected coherence order is -1, hence the q+1).
 
-Every detected line amplitude is linear in rho, so a pulse set compiles
-into one map A in tensor coordinates, the design matrix: column (K, Q)
-holds the cycled line amplitudes of rho = T_KQ, plus a trace row that
-completes the system to full column rank d^2 (the identity gives no
-lines).  As a pulse is Rz(phi) Rx(theta) Rz(-phi) and T_KQ has order Q,
-the phases enter column (K, Q) only as e^{i(alpha + phi(1 + Q))}, a mask
-over the 4I+1 orders: a cycle tuned to q has no rows outside Q = q.
-`measure` is A c(rho) plus seeded line noise, c(rho) = Tr(T_KQ^dag rho).
+Every line amplitude is linear in rho, so a pulse set is one map A in tensor coordinates, the
+design matrix, plus a trace row (the identity gives no lines).  Rx(theta) carries T_KQ into
+sum_Q' e^{-i pi (Q'-Q)/2} d^K_Q'Q(theta) T_KQ', line j reads only Q' = -1 (Teles et al., J.
+Chem. Phys. 126, 154506 (2007)), and the pulse Rz(phi) Rx(theta) Rz(-phi) adds e^{i phi(1+Q)}:
+  A[(c, j), (K, Q)] = g_j (T_K,-1)_{j+1,j} sum_a S[c, a, Q] e^{-i pi(Q+1)/2} d^K_{-1,Q}(theta_a),
+g the I+ gain and S[c, a, Q] cycle c's mean of e^{i(alpha + phi(1 + Q))} over its pulses of
+angle theta_a.  A cycle tuned to q keeps only Q = q (Bodenhausen, Kogler & Ernst, J. Magn.
+Reson. 58, 370 (1984)), so A is block-diagonal: cycles and orders linked through nonzero sums
+span one block, T_00 another with the trace row.  For `pulse_set` each order Q != 0 (mod 4)
+is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 4I + 2 -
+2 floor(I/2) blocks in all.  The design is factored block by block; `measure` never forms A.
 
 "fid" mode detects the lines at the start of acquisition, after they
 have precessed through the receiver-protection delay 1/nu_Q.  This is
@@ -25,14 +28,15 @@ delay, a sign (-1)^d for every line at every nu_Q, so no map depends on
 the NMR parameters.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian, require_hermitian,
-                       tensor_coefficients, tensor_keys, tensor_stack)
+from .spin_ops import SpinSystem, angular_momentum, require_hermitian, tensor_keys, tensor_stack
 from .dynamics import NmrParams
 
 # Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
@@ -59,13 +63,24 @@ class SpectrumLines:
             raise ValueError("frequency/amplitude length mismatch")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignSystem:
-    matrix: np.ndarray        # (n_measurements, d^2) read-only map in tensor coordinates
-    keys: list                # (L, m) column labels
+    keys: list                # (K, Q) column labels
     condition_number: float
     rank: int
-    pinv: np.ndarray          # (d^2, n_measurements) pseudo-inverse of matrix
+    n_rows: int               # n_cycles 2I lines plus the trace row
+    solve: tuple              # (P, rows, cols) per group: zero-padded stacked block pseudo-
+                              # inverses, the B entries they read and the columns they fill
+    blocks: tuple             # (rows, cols, M) per diagonal block of the map
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only (n_rows, d^2) map in tensor coordinates, assembled on first use."""
+        A = np.zeros((self.n_rows, len(self.keys)), dtype=complex)
+        for rows, cols, M in self.blocks:
+            A[np.ix_(rows, cols)] = M
+        A.setflags(write=False)
+        return A
 
 
 class TomographyRankError(ValueError):
@@ -127,37 +142,103 @@ def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
     return (nu_Q / 2) * (2 * ms + 1)
 
 
+def _rotation_rows(twoI: int, thetas: np.ndarray) -> np.ndarray:
+    """D[a, K, 2I + Q] = e^{-i pi (Q+1)/2} d^K_{-1,Q}(theta_a), zero for |Q| > K and K = 0:
+    Wigner's closed form at K = max(1, |Q|), then the three-term recurrence in K
+    (Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 145 (2008))."""
+    c, s, x = np.cos(thetas / 2), np.sin(thetas / 2), np.cos(thetas)
+    D = np.zeros((twoI + 2, 2 * twoI + 1, len(thetas)))   # row 2I + 1 is scratch
+    D[1, twoI] = np.sqrt(2) * c * s
+    for J in range(1, twoI + 1):
+        b, Q, on = math.sqrt(math.comb(2 * J, J - 1)), np.arange(-J, J + 1)[:, None], slice(
+            twoI - J, twoI + J + 1)
+        D[J, twoI + J] = b * c ** (J - 1) * s ** (J + 1)
+        D[J, twoI - J] = (-1) ** (J - 1) * b * c ** (J + 1) * s ** (J - 1)
+        D[J + 1, on] = ((2 * J + 1) * (J * (J + 1) * x + Q) * D[J, on] - (J + 1) * np.sqrt(
+            (J * J - Q * Q) * (J * J - 1.0)) * D[J - 1, on]) / (J * np.sqrt(
+                ((J + 1) ** 2 - Q * Q) * J * (J + 2.0)))
+    return D[:-1].transpose(2, 0, 1) * np.exp(-0.5j * np.pi * np.arange(1 - twoI, twoI + 2))
+
+
 @lru_cache(maxsize=4)
-def _tensor_map(sys: SpinSystem, cycles, mode: str) -> np.ndarray:
-    """Read-only A of shape (n_cycles 2I + 1, d^2), compiled once per (spin, cycles, mode):
-    cycle c's mean line j of rho = T_KQ is g_j e^{i(alpha + phi(1 + Q))}
-    (Rx(theta) T_KQ Rx(theta)^dag)_{j+1,j} summed over its pulses, g the I+ gain (times
-    (-1)^d in "fid" mode); one product per nutation angle.  The last row is Tr T_KQ
-    of the stored basis, sqrt(d) delta_K0 to round-off."""
-    ops = angular_momentum(sys)
-    gain = np.diagonal(ops.Iplus, 1)
-    if mode == "fid":
-        gain = gain * (-1.0) ** sys.d
-    elif mode != "coherence":
+def _closed_form(sys: SpinSystem, cycles, mode: str):
+    """Read-only (H, idx, S, t, gG, D) of a pulse set's map (module docstring), built once per
+    (spin, cycles, mode): gG[j, K] = g_j (T_K,-1)_{j+1,j}, D = `_rotation_rows` at the angles.
+    As T_KQ lives on rho's Q-th diagonal, H[a, Q, j, i] = sum_K gG[j, K] D[a, K, Q]
+    conj(T_KQ[i, i+Q]) reads rho.flat[idx[Q, i]], and t = Tr T_00 conj(diag T_00)."""
+    if mode not in ("coherence", "fid"):
         raise ValueError(f"unknown mode {mode!r}")
-    twoI = sys.d - 1
-    orders = np.arange(-twoI, twoI + 1)
-    column_order = np.array(tensor_keys(sys))[:, 1] + twoI  # index into orders
-    stack = tensor_stack(sys).reshape(sys.d ** 2, -1).T
+    d, stack, i = sys.d, tensor_stack(sys), np.arange(sys.d)
+    orders, key0 = np.arange(1 - d, d), i * i + i   # key0[K]: the index of T_K0
+    gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (d * (mode == "fid"))
+    gG = gain[:, None] * stack[key0 - 1][:, i[1:], i[:-1]].T
+    gG[:, 0] = 0                                     # T_00 gives no lines
     pulses = [np.array(cycle) for cycle in cycles]
-    L = {}
-    for angle in sorted(set(np.concatenate(pulses)[:, 0])):  # np.unique imports numpy.ma
-        R = expm_hermitian(ops.Ix, angle)
-        L[angle] = (R[1:, :, None] * R[:-1, None, :].conj()).reshape(twoI, -1) @ stack
-    A = np.empty((len(pulses) * twoI + 1, sys.d ** 2), dtype=complex)  # no row list: one copy
-    for c, (theta, phi, alpha) in enumerate(p.T for p in pulses):
+    angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
+    S = np.zeros((len(pulses), len(angles), len(orders)), dtype=complex)
+    for s, (theta, phi, alpha) in zip(S, (p.T for p in pulses)):
         phase = np.exp(1j * (alpha[:, None] + np.outer(phi, 1 + orders)))
-        mean = sum(L[angle] * phase[theta == angle].sum(axis=0)[column_order]
-                   for angle in sorted(set(theta)))
-        A[c * twoI:(c + 1) * twoI] = gain[:, None] * mean / len(theta)
-    A[-1] = np.eye(sys.d).ravel() @ stack
-    A.setflags(write=False)
-    return A
+        for a, angle in enumerate(angles):
+            s[a] = phase[theta == angle].sum(axis=0) / len(theta)
+    D, j = _rotation_rows(d - 1, np.array(angles)), i + orders[:, None]
+    band = stack[key0[:, None, None] + orders[:, None], i, np.clip(j, 0, d - 1)]
+    band *= (np.abs(orders)[:, None] <= i[:, None, None]) & (0 <= j) & (j < d)
+    H = (gG * D.transpose(0, 2, 1)[:, :, None]) @ band.conj().transpose(1, 0, 2)
+    H = np.ascontiguousarray(H)
+    idx = np.where((0 <= j) & (j < d), i * (d + 1) + orders[:, None], 0)   # H is 0 off rho
+    factors = H, idx, S, np.trace(stack[0]) * np.diagonal(stack[0]).conj(), gG, D
+    for arr in factors:
+        arr.setflags(write=False)
+    return factors
+
+
+def _lines(H, idx, S, rho: np.ndarray, out=None) -> np.ndarray:
+    """(n_cycles, 2I) line amplitudes of rho: per angle, phase sums over the orders times H."""
+    W = H @ rho.ravel()[idx][..., None]
+    return np.matmul(S.reshape(len(S), -1), W.reshape(-1, H.shape[2]), out=out)
+
+
+@lru_cache(maxsize=4)
+def _blocks(sys: SpinSystem, cycles, mode: str):
+    """Read-only (blocks, stacks, groups) of a pulse set's map: its diagonal blocks (rows, cols,
+    M), views into one zero-padded stack per column count, and for the solve groups (all blocks
+    but the widest, the widest) their padded row and column indices.  Sums below 1e-12 are
+    exact zeros, as sums of roots of unity."""
+    _, _, S, _, gG, D = _closed_form(sys, cycles, mode)
+    keys, twoI = tensor_keys(sys), sys.d - 1
+    (K, Q), n_rows = np.array(keys).T, len(S) * twoI + 1
+    touch = np.abs(S).max(axis=1) > 1e-12            # (cycle, order) linked
+    link = touch.T @ touch.astype(float) + np.eye(2 * twoI + 1)
+    for _ in range(len(link).bit_length()):          # transitive closure by squaring
+        link = (link @ link > 0).astype(float)
+    label = np.where(K > 0, link.argmax(axis=0)[Q + twoI], -1)
+    t00 = np.trace(tensor_stack(sys)[0]).reshape(1, 1)   # T_00 alone with the trace row
+    blocks = [(np.array([n_rows - 1]), np.array([0]), t00)]
+    for lab in sorted(set(label.tolist()) - {-1}):
+        cols = np.flatnonzero(label == lab)
+        cyc, q = np.flatnonzero(touch[:, link[lab] > 0].any(axis=1)), Q[cols] + twoI
+        C = (S[cyc][:, :, q] * D[:, K[cols], q]).sum(axis=1)
+        blocks.append(((cyc[:, None] * twoI + np.arange(twoI)).ravel(), cols,
+                       (gG[:, K[cols]] * C[:, None]).reshape(-1, len(cols))))
+    blocks.sort(key=lambda b: b[2].shape[::-1])   # by columns, then rows: the widest last
+    stacks, views = [], []
+    for _, run in itertools.groupby(blocks, key=lambda b: b[2].shape[1]):
+        run = list(run)   # zero rows pad them to one shape: same singular values and V
+        stacks.append(np.zeros((len(run), max(len(b[0]) for b in run), run[0][2].shape[1]),
+                               dtype=complex))
+        for stack, (rb, cb, M) in zip(stacks[-1], run):
+            stack[:len(M)] = M
+            views.append((rb, cb, stack[:len(M)]))
+    groups = []
+    for group in (views[:-1], views[-1:]):
+        rows = np.zeros((len(group), max(len(b[0]) for b in group)), dtype=int)   # P is 0 there
+        cols = np.full((len(group), max(len(b[1]) for b in group)), len(keys))
+        for k, (rb, cb, _) in enumerate(group):
+            rows[k, :len(rb)], cols[k, :len(cb)] = rb, cb
+        groups.append((rows, cols))
+    for arr in [arr for part in views + groups for arr in part] + stacks:
+        arr.setflags(write=False)
+    return tuple(views), tuple(stacks), tuple(groups)
 
 
 def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse,
@@ -171,8 +252,8 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     require_hermitian(rho, "density matrix")
     freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
     # uncached: single pulses must not evict the pulse set's map
-    A = _tensor_map.__wrapped__(sys, [[pulse]], mode)
-    return SpectrumLines(freqs, A[:-1] @ tensor_coefficients(sys, rho))
+    H, idx, S, *_ = _closed_form.__wrapped__(sys, [[pulse]], mode)
+    return SpectrumLines(freqs, _lines(H, idx, S, rho)[0])
 
 
 def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
@@ -208,7 +289,10 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     spectrum (before cycle summation), drawn pulse by pulse in cycle order.
     """
     require_hermitian(rho, "density matrix")
-    B = _tensor_map(sys, tuple(map(tuple, cycles)), mode) @ tensor_coefficients(sys, rho)
+    H, idx, S, t, *_ = _closed_form(sys, tuple(map(tuple, cycles)), mode)
+    B = np.empty(len(S) * len(H[0, 0]) + 1, dtype=complex)
+    _lines(H, idx, S, rho, out=B[:-1].reshape(len(S), -1))
+    B[-1] = t @ np.diagonal(rho)
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma
         sizes = np.array([len(cycle) for cycle in cycles])
@@ -221,29 +305,38 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
-    """The pulse set's compiled map in tensor coordinates, rows the cycled line
-    amplitudes plus the trace row.  One SVD of it gives the rank, the
-    conditioning and the pseudo-inverse."""
+    """Factor the pulse set's map block by block: one SVD per stack of blocks of one width gives
+    the rank and the conditioning of the whole map, and the block pseudo-inverses."""
+    blocks, stacks, groups = _blocks(sys, tuple(map(tuple, cycles)), mode)
     keys = tensor_keys(sys)
-    A = _tensor_map(sys, tuple(map(tuple, cycles)), mode)
-    U, svals, Vh = np.linalg.svd(A, full_matrices=False)
-    rank = int((svals > SVD_CUTOFF * svals[0]).sum())
-    if rank < len(keys):
-        null = Vh[rank:]
-        null_keys = [keys[i] for i in range(len(keys))
-                     if np.abs(null[:, i]).max() > 1e-6]
-        raise TomographyRankError(rank, len(keys), null_keys)
-    pinv = (Vh.conj().T / svals) @ U[:, :rank].conj().T
-    return DesignSystem(A, keys, float(svals[0] / svals[-1]), rank, pinv)
+    runs = [np.linalg.svd(stack, full_matrices=False) for stack in stacks]
+    svals = np.concatenate([s.ravel() for _, s, _ in runs])
+    kept = np.concatenate([(s > SVD_CUTOFF * svals.max()).sum(axis=1) for _, s, _ in runs])
+    if kept.sum() < len(keys):
+        weak = np.zeros(len(keys), dtype=bool)
+        for (_, cols, M), r in zip(blocks, kept):
+            weak[cols] |= (np.abs(np.linalg.svd(M)[2][r:]) > 1e-6).any(axis=0)
+        raise TomographyRankError(int(kept.sum()), len(keys), [k for k, w in zip(keys, weak) if w])
+    solve = [(np.zeros((*cols.shape, rows.shape[1]), dtype=complex), rows, cols)
+             for rows, cols in groups]
+    pinvs = [pinv for U, s, Vh in runs for pinv in (Vh.conj().transpose(0, 2, 1) / s[:, None])
+             @ np.conjugate(U, out=U).transpose(0, 2, 1)]
+    for (rows, cols, _), pinv, slot in zip(blocks, pinvs, [slot for P, *_ in solve for slot in P]):
+        slot[:len(cols), :len(rows)] = pinv[:, :len(rows)]
+    return DesignSystem(keys, float(svals.max() / svals.min()), len(keys),
+                        len(cycles) * (sys.d - 1) + 1, tuple(solve), blocks)
 
 
 def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
     """Least-squares solve for the tensor coefficients and reassembled
     density matrix.  Returns (rho, info) where rho is Hermitized and info
     reports coefficients, the Hermitian residual and conditioning."""
-    if len(B) != design.matrix.shape[0]:
+    if len(B) != design.n_rows:
         raise ValueError("measurement vector length does not match design matrix")
-    X = design.pinv @ B
+    X = np.empty(len(design.keys) + 1, dtype=complex)   # the last entry takes the padding
+    for P, rows, cols in design.solve:   # every block but the widest, then the widest
+        X[cols] = (P @ B[rows][..., None])[..., 0]
+    X = X[:-1]
     raw = np.tensordot(X, tensor_stack(sys), axes=1)
     rho = (raw + raw.conj().T) / 2
     info = {

@@ -68,11 +68,20 @@ class WignerGrid:
 
 
 def _grid_nodes(n_theta, n_phi):
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x[::-1])
-    w = w[::-1]
-    phi = np.arange(n_phi) * 2 * np.pi / n_phi
-    return theta, w * (2 * np.pi / n_phi), phi
+    """Polar nodes, weights times dphi, azimuths.  Gauss-Legendre in x = cos theta: Newton's
+    method on P_n from its three-term recurrence, started at x_k = cos(pi (k - 1/4)/(n + 1/2)),
+    one step past 1e-10; w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    n, x, done = n_theta, np.cos(np.pi * (np.arange(n_theta) + 0.75) / (n_theta + 0.5)), False
+    for _ in range(50):   # converges quadratically: a handful of passes
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, (2 - 1 / k) * x * p1 - (1 - 1 / k) * p0
+        dp = n * (p0 - x * p1) / (1 - x * x)
+        if done:
+            break
+        done, x = np.abs(p1 / dp).max() < 1e-10, x - p1 / dp
+    w = 2 / ((1 - x * x) * dp * dp)
+    return np.arccos(x), w * (2 * np.pi / n_phi), np.arange(n_phi) * 2 * np.pi / n_phi
 
 
 @lru_cache(maxsize=4)

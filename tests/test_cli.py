@@ -338,6 +338,20 @@ def test_cli_import_leaves_out_optimizer():
     assert out.split() == ["False"]
 
 
+def test_cli_run_leaves_out_numpy_polynomial(tmp_path):
+    # Gauss-Legendre nodes come from Newton's method, not numpy.polynomial's leggauss,
+    # whose import costs about 2.5 ms of every run
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys; from spincat.cli import main; "
+            f"main(['run', '--preset', 'na23-cat-p1', '--out', {str(tmp_path)!r}]); "
+            "print('numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split()[-1] == "False"
+    assert (tmp_path / "report.json").exists()
+
+
 def test_cli_import_leaves_out_scipy_special_and_jsonschema():
     # the run path needs numpy only: harmonics come from a recurrence and the
     # config schema is checked directly

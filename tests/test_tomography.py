@@ -1,12 +1,14 @@
 """Simulated tomography: phase cycling, design matrix, reconstruction."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from spincat.dynamics import NmrParams
 from spincat.spin_ops import (SpinSystem, angular_momentum, spherical_tensor_basis,
-                              tensor_stack)
+                              tensor_coefficients, tensor_keys, tensor_stack)
 from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
 from spincat.tomography import (FID_DWELL, FID_POINTS, SpectrumLines,
@@ -230,29 +232,30 @@ def test_measure_reuses_compiled_map():
     # build_design_matrix compiles the measurement map; measuring with an
     # equal, freshly built pulse set must not compile it again, and a
     # single-pulse spectrum neither compiles nor evicts a cached map
-    tomography._tensor_map.cache_clear()
+    tomography._closed_form.cache_clear()
+    tomography._blocks.cache_clear()
     nmr = NmrParams(0.0, 0.0, 2 * np.pi * 12345.0)
     build_design_matrix(SYS, pulse_set(SYS), nmr)
-    compiled = tomography._tensor_map.cache_info().misses
+    compiled = tomography._closed_form.cache_info().misses
     assert compiled > 0
     rho = random_density(np.random.default_rng(13))
     clean = measure(SYS, rho, pulse_set(SYS), nmr)
     synthesize_spectrum(SYS, rho, pulse_set(SYS)[1][2], nmr)
     noisy = measure(SYS, rho, pulse_set(SYS), nmr, noise_sigma=0.1, seed=3)
-    assert tomography._tensor_map.cache_info().misses == compiled
+    assert tomography._closed_form.cache_info().misses == compiled
     assert not np.array_equal(clean, noisy)
 
 
 @pytest.mark.parametrize("mode", ["coherence", "fid"])
 def test_map_compiled_once_across_nu_q(mode):
     # no map depends on nu_Q, so measuring at a second nu_Q reuses the first map
-    tomography._tensor_map.cache_clear()
+    tomography._closed_form.cache_clear()
     rho = random_density(np.random.default_rng(14))
     first = measure(SYS, rho, pulse_set(SYS), NMR, mode)
-    compiled = tomography._tensor_map.cache_info().misses
+    compiled = tomography._closed_form.cache_info().misses
     assert compiled > 0
     second = measure(SYS, rho, pulse_set(SYS), NmrParams(0.0, 0.0, 2 * np.pi * 12345.0), mode)
-    assert tomography._tensor_map.cache_info().misses == compiled
+    assert tomography._closed_form.cache_info().misses == compiled
     assert np.array_equal(first, second)
 
 
@@ -260,11 +263,144 @@ def test_map_compiled_once_across_nu_q(mode):
 def test_fid_map_is_signed_coherence_map(spin):
     # the delay 1/nu_Q turns the line at (nu_Q/2)(2m+1) by pi(2m+1): (-1)^d exactly
     sys = SpinSystem(spin)
-    cycles = pulse_set(sys)
-    fid = tomography._tensor_map.__wrapped__(sys, cycles, "fid")
-    coherence = tomography._tensor_map.__wrapped__(sys, cycles, "coherence")
+    cycles = tuple(map(tuple, pulse_set(sys)))
+    fid = tomography._closed_form.__wrapped__(sys, cycles, "fid")
+    coherence = tomography._closed_form.__wrapped__(sys, cycles, "coherence")
+    H, idx, S, t, gG, D = range(6)
+    for signed in (H, gG):
+        assert np.array_equal(fid[signed], (-1) ** sys.d * coherence[signed])
+    for same in (idx, S, t, D):
+        assert np.array_equal(fid[same], coherence[same])
+    fid, coherence = (build_design_matrix(sys, cycles, NMR, mode).matrix
+                      for mode in ("fid", "coherence"))
     assert np.array_equal(fid[:-1], (-1) ** sys.d * coherence[:-1])
     assert np.array_equal(fid[-1], coherence[-1])
+
+
+def rx_product_map(sys, cycles, mode="coherence"):
+    """The dense design from propagators: per nutation angle, the lines of Rx T_KQ Rx^dag,
+    times each pulse's phase e^{i(alpha + phi(1 + Q))} and averaged per cycle, with the
+    trace row Tr T_KQ of the stored basis."""
+    ops = angular_momentum(sys)
+    gain = np.diagonal(ops.Iplus, 1) * ((-1.0) ** sys.d if mode == "fid" else 1.0)
+    Q = np.array(tensor_keys(sys))[:, 1]
+    lines, rows = {}, []
+    for cycle in cycles:
+        acc = 0
+        for theta, phi, alpha in cycle:
+            if theta not in lines:
+                R = expm(-1j * theta * ops.Ix)
+                lines[theta] = np.einsum("ja,nab,jb->jn", R[1:], tensor_stack(sys), R[:-1].conj())
+            acc = acc + lines[theta] * np.exp(1j * (alpha + phi * (1 + Q)))
+        rows.append(gain[:, None] * acc / len(cycle))
+    return np.vstack(rows + [np.trace(tensor_stack(sys), axis1=1, axis2=2)])
+
+
+def dense_null_keys(sys, A):
+    """Rank and weakly determined keys from one SVD of the dense design."""
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    rank = int((s > tomography.SVD_CUTOFF * s[0]).sum())
+    keys = tensor_keys(sys)
+    return rank, [k for i, k in enumerate(keys) if np.abs(Vh[rank:, i]).max(initial=0) > 1e-6]
+
+
+def aliased_cycles(sys, steps=None):
+    """Cycles of too few phase steps (2I + 1 by default): each reads every order
+    q' = q (mod steps), so the design's blocks join several orders."""
+    twoI, steps = sys.d - 1, steps or sys.d
+    return [zero_order_cycle(sys)] + [
+        [TomographyPulse(theta, phi, (-(q + 1) * phi) % (2 * np.pi))
+         for phi in 2 * np.pi * np.arange(steps) / steps]
+        for theta in (np.pi / 2, np.pi / 3, np.pi / 5) for q in range(-twoI, twoI + 1)]
+
+
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+@pytest.mark.parametrize("spin", [1.5, 3.5, 7.5])
+def test_closed_form_lines_match_rx_product(spin, mode):
+    # L_theta[j, (K, Q)] = e^{-i pi (Q+1)/2} d^K_{-1,Q}(theta) (T_K,-1)_{j+1,j}, times the gain
+    sys = SpinSystem(spin)
+    angles = (np.pi / 2, np.pi / 4, 0.0, np.pi, 2.3)
+    cycles = tuple((TomographyPulse(theta, 0.0, 0.0),) for theta in angles)
+    _, _, _, _, gG, D = tomography._closed_form.__wrapped__(sys, cycles, mode)
+    K, Q = np.array(tensor_keys(sys)).T
+    ops = angular_momentum(sys)
+    gain = np.diagonal(ops.Iplus, 1) * ((-1.0) ** sys.d if mode == "fid" else 1.0)
+    for a, theta in enumerate(sorted(angles)):
+        R = expm(-1j * theta * ops.Ix)
+        expected = gain[:, None] * np.einsum("ja,nab,jb->jn", R[1:], tensor_stack(sys),
+                                             R[:-1].conj())
+        assert np.abs(gG[:, K] * D[a, K, Q + sys.d - 1] - expected).max() <= 1e-13, theta
+
+
+@pytest.mark.parametrize("cycle_set", ["pulse_set", "aliased", "mixed"])
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+@pytest.mark.parametrize("spin", [1.5, 3.5, 7.5])
+def test_block_design_matches_dense_pinv(spin, mode, cycle_set):
+    # the blocks assemble the dense design, and their SVDs give its rank, conditioning
+    # and least-squares solution, as one SVD and pinv of the dense matrix do
+    sys = SpinSystem(spin)
+    rng = np.random.default_rng(31)
+    cycles = {"pulse_set": pulse_set(sys), "aliased": aliased_cycles(sys),
+              "mixed": pulse_set(sys) + [[TomographyPulse(*p) for p in zip(
+                  rng.permutation([np.pi / 2] * 5 + [np.pi / 4] * 4),
+                  *rng.uniform(0, 2 * np.pi, size=(2, 9)))]]}[cycle_set]
+    design = build_design_matrix(sys, cycles, NMR, mode)
+    A = rx_product_map(sys, cycles, mode)
+    assert np.abs(design.matrix - A).max() <= 1e-13
+    assert not design.matrix.flags.writeable
+    assert design.rank == dense_null_keys(sys, A)[0] == sys.d ** 2
+    assert abs(design.condition_number / np.linalg.cond(A) - 1) <= 1e-12
+    rho = random_density(rng, sys.d)
+    B = measure(sys, rho, cycles, NMR, mode, noise_sigma=0.05, seed=5)
+    assert np.abs(B - A @ tensor_coefficients(sys, rho)).max() > 1e-3   # noise is on
+    X = np.linalg.pinv(A) @ B
+    _, info = reconstruct(design, B, sys)
+    coefficients = np.array([info["coefficients"][key] for key in design.keys])
+    assert np.abs(coefficients - X).max() <= 1e-12 * np.abs(X).max()
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.0, 1.5, 2.0, 3.5, 7.5])
+def test_block_count(spin):
+    # each order Q != 0 (mod 4) alone, the orders Q = 0 (mod 4) with the zero-order
+    # quadruple, and T_00 with the trace row
+    sys = SpinSystem(spin)
+    design = build_design_matrix(sys, pulse_set(sys), NMR)
+    assert len(design.blocks) == 4 * spin + 2 - 2 * int(spin // 2)
+    assert sorted(k for _, cols, _ in design.blocks for k in cols) == list(range(sys.d ** 2))
+
+
+@pytest.mark.parametrize("cycle_set", ["pi/2 only", "no order 1", "three steps"])
+def test_rank_error_names_dense_null_keys(cycle_set):
+    # a block short of rows, a block with no rows at all, and blocks of aliased orders
+    sys = SpinSystem(3.5)
+    cycles = {
+        "pi/2 only": pulse_set(sys, nutation_angles=(np.pi / 2,)),
+        "no order 1": [zero_order_cycle(sys)] + [coherence_cycle(sys, q, theta) for theta in
+                                                 (np.pi / 2, np.pi / 4) for q in range(-7, 8)
+                                                 if q != 1],
+        "three steps": aliased_cycles(sys, 3),
+    }[cycle_set]
+    rank, null_keys = dense_null_keys(sys, rx_product_map(sys, cycles))
+    assert rank < sys.d ** 2 and null_keys
+    with pytest.raises(TomographyRankError) as exc:
+        build_design_matrix(sys, cycles, NMR)
+    assert exc.value.rank == rank
+    assert exc.value.null_keys == null_keys
+
+
+def test_spin_20_design_in_seconds():
+    # 62 blocks, the largest 1,720 x 420, instead of one 6,521 x 1,681 SVD
+    sys = SpinSystem(20)
+    cycles = pulse_set(sys)
+    rho = projector(coherent_state(sys, np.pi / 3, 0.7))
+    tensor_stack(sys)
+    start = time.perf_counter()
+    design = build_design_matrix(sys, cycles, NMR)
+    rec, info = reconstruct(design, measure(sys, rho, cycles, NMR), sys)
+    assert time.perf_counter() - start < 10.0
+    assert len(design.blocks) == 62
+    assert np.abs(rec - rho).max() < 1e-10
+    assert info["condition_number"] < 1e3
 
 
 @pytest.mark.parametrize("mode", ["coherence", "fid"])
