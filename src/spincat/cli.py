@@ -2,7 +2,6 @@
 configuration files, list presets."""
 
 import argparse
-import dataclasses
 import json
 import sys as _sys
 from pathlib import Path
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, PRESETS, get_preset, load_config
+from .config import ConfigError, PRESETS, get_preset, load_config, validate_config
 from .dynamics import NmrParams, cat_time, free_evolution_schedule
 from .spin_ops import SpinSystem
 from .tomography import (TomographyRankError, build_design_matrix, measure,
@@ -68,8 +67,8 @@ def run_experiment(cfg, out_dir: Path) -> dict:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config) if args.config else get_preset(args.preset)
-        given = {"seed": args.seed, "mode": args.mode}
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+        given = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
+        cfg = validate_config({**cfg.to_dict(), **given}, source="command line")
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2

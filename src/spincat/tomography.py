@@ -17,7 +17,8 @@ angle theta_a.  A cycle tuned to q keeps only Q = q (Bodenhausen, Kogler & Ernst
 Reson. 58, 370 (1984)), so A is block-diagonal: cycles and orders linked through nonzero sums
 span one block, T_00 another with the trace row.  For `pulse_set` each order Q != 0 (mod 4)
 is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 4I + 2 -
-2 floor(I/2) blocks in all.  The design is factored block by block; `measure` never forms A.
+2 floor(I/2) blocks in all.  The design is factored block by block, and `measure` applies the
+same blocks to rho's tensor coefficients.
 
 "fid" mode detects the lines at the start of acquisition, after they
 have precessed through the receiver-protection delay 1/nu_Q.  This is
@@ -28,7 +29,6 @@ delay, a sign (-1)^d for every line at every nu_Q, so no map depends on
 the NMR parameters.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_ops import SpinSystem, angular_momentum, require_hermitian, tensor_keys, tensor_stack
+from .spin_ops import (SpinSystem, angular_momentum, require_hermitian, tensor_coefficients,
+                       tensor_keys, tensor_stack)
 from .dynamics import NmrParams
 
 # Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
@@ -69,8 +70,8 @@ class DesignSystem:
     condition_number: float
     rank: int
     n_rows: int               # n_cycles 2I lines plus the trace row
-    solve: tuple              # (P, rows, cols) per group: zero-padded stacked block pseudo-
-                              # inverses, the B entries they read and the columns they fill
+    solve: tuple              # (P, cols, rows) per stack: zero-padded block pseudo-inverses,
+                              # the columns they fill and the B entries they read
     blocks: tuple             # (rows, cols, M) per diagonal block of the map
 
     @cached_property
@@ -162,17 +163,17 @@ def _rotation_rows(twoI: int, thetas: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _closed_form(sys: SpinSystem, cycles, mode: str):
-    """Read-only (H, idx, S, t, gG, D) of a pulse set's map (module docstring), built once per
-    (spin, cycles, mode): gG[j, K] = g_j (T_K,-1)_{j+1,j}, D = `_rotation_rows` at the angles.
-    As T_KQ lives on rho's Q-th diagonal, H[a, Q, j, i] = sum_K gG[j, K] D[a, K, Q]
-    conj(T_KQ[i, i+Q]) reads rho.flat[idx[Q, i]], and t = Tr T_00 conj(diag T_00)."""
+    """Read-only (blocks, stacks) of a pulse set's map (module docstring), built once per
+    (spin, cycles, mode).  blocks are its diagonal blocks (rows, cols, M), views into two
+    zero-padded stacks (M, rows, cols): every block but the widest, and the widest.  Padded
+    rows and columns point at a spare entry past the end.  Phase sums below 1e-12 are exact
+    zeros, as sums of roots of unity."""
     if mode not in ("coherence", "fid"):
         raise ValueError(f"unknown mode {mode!r}")
-    d, stack, i = sys.d, tensor_stack(sys), np.arange(sys.d)
+    d, stack, i, keys = sys.d, tensor_stack(sys), np.arange(sys.d), tensor_keys(sys)
     orders, key0 = np.arange(1 - d, d), i * i + i   # key0[K]: the index of T_K0
     gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (d * (mode == "fid"))
-    gG = gain[:, None] * stack[key0 - 1][:, i[1:], i[:-1]].T
-    gG[:, 0] = 0                                     # T_00 gives no lines
+    gG = gain[:, None] * stack[key0 - 1][:, i[1:], i[:-1]].T   # g_j (T_K,-1)_{j+1,j}, K > 0
     pulses = [np.array(cycle) for cycle in cycles]
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
     S = np.zeros((len(pulses), len(angles), len(orders)), dtype=complex)
@@ -180,65 +181,43 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
         phase = np.exp(1j * (alpha[:, None] + np.outer(phi, 1 + orders)))
         for a, angle in enumerate(angles):
             s[a] = phase[theta == angle].sum(axis=0) / len(theta)
-    D, j = _rotation_rows(d - 1, np.array(angles)), i + orders[:, None]
-    band = stack[key0[:, None, None] + orders[:, None], i, np.clip(j, 0, d - 1)]
-    band *= (np.abs(orders)[:, None] <= i[:, None, None]) & (0 <= j) & (j < d)
-    H = (gG * D.transpose(0, 2, 1)[:, :, None]) @ band.conj().transpose(1, 0, 2)
-    H = np.ascontiguousarray(H)
-    idx = np.where((0 <= j) & (j < d), i * (d + 1) + orders[:, None], 0)   # H is 0 off rho
-    factors = H, idx, S, np.trace(stack[0]) * np.diagonal(stack[0]).conj(), gG, D
-    for arr in factors:
-        arr.setflags(write=False)
-    return factors
-
-
-def _lines(H, idx, S, rho: np.ndarray, out=None) -> np.ndarray:
-    """(n_cycles, 2I) line amplitudes of rho: per angle, phase sums over the orders times H."""
-    W = H @ rho.ravel()[idx][..., None]
-    return np.matmul(S.reshape(len(S), -1), W.reshape(-1, H.shape[2]), out=out)
-
-
-@lru_cache(maxsize=4)
-def _blocks(sys: SpinSystem, cycles, mode: str):
-    """Read-only (blocks, stacks, groups) of a pulse set's map: its diagonal blocks (rows, cols,
-    M), views into one zero-padded stack per column count, and for the solve groups (all blocks
-    but the widest, the widest) their padded row and column indices.  Sums below 1e-12 are
-    exact zeros, as sums of roots of unity."""
-    _, _, S, _, gG, D = _closed_form(sys, cycles, mode)
-    keys, twoI = tensor_keys(sys), sys.d - 1
-    (K, Q), n_rows = np.array(keys).T, len(S) * twoI + 1
+    D = _rotation_rows(d - 1, np.array(angles))
+    (K, Q), n_rows = np.array(keys).T, len(S) * (d - 1) + 1
     touch = np.abs(S).max(axis=1) > 1e-12            # (cycle, order) linked
-    link = touch.T @ touch.astype(float) + np.eye(2 * twoI + 1)
+    link = touch.T @ touch.astype(float) + np.eye(len(orders))
     for _ in range(len(link).bit_length()):          # transitive closure by squaring
         link = (link @ link > 0).astype(float)
-    label = np.where(K > 0, link.argmax(axis=0)[Q + twoI], -1)
-    t00 = np.trace(tensor_stack(sys)[0]).reshape(1, 1)   # T_00 alone with the trace row
+    label = np.where(K > 0, link.argmax(axis=0)[Q + d - 1], -1)
+    t00 = np.trace(stack[0]).reshape(1, 1)           # T_00 alone with the trace row
     blocks = [(np.array([n_rows - 1]), np.array([0]), t00)]
     for lab in sorted(set(label.tolist()) - {-1}):
         cols = np.flatnonzero(label == lab)
-        cyc, q = np.flatnonzero(touch[:, link[lab] > 0].any(axis=1)), Q[cols] + twoI
+        cyc, q = np.flatnonzero(touch[:, link[lab] > 0].any(axis=1)), Q[cols] + d - 1
         C = (S[cyc][:, :, q] * D[:, K[cols], q]).sum(axis=1)
-        blocks.append(((cyc[:, None] * twoI + np.arange(twoI)).ravel(), cols,
+        blocks.append(((cyc[:, None] * (d - 1) + i[:-1]).ravel(), cols,
                        (gG[:, K[cols]] * C[:, None]).reshape(-1, len(cols))))
     blocks.sort(key=lambda b: b[2].shape[::-1])   # by columns, then rows: the widest last
-    stacks, views = [], []
-    for _, run in itertools.groupby(blocks, key=lambda b: b[2].shape[1]):
-        run = list(run)   # zero rows pad them to one shape: same singular values and V
-        stacks.append(np.zeros((len(run), max(len(b[0]) for b in run), run[0][2].shape[1]),
-                               dtype=complex))
-        for stack, (rb, cb, M) in zip(stacks[-1], run):
-            stack[:len(M)] = M
-            views.append((rb, cb, stack[:len(M)]))
-    groups = []
-    for group in (views[:-1], views[-1:]):
-        rows = np.zeros((len(group), max(len(b[0]) for b in group)), dtype=int)   # P is 0 there
-        cols = np.full((len(group), max(len(b[1]) for b in group)), len(keys))
-        for k, (rb, cb, _) in enumerate(group):
-            rows[k, :len(rb)], cols[k, :len(cb)] = rb, cb
-        groups.append((rows, cols))
-    for arr in [arr for part in views + groups for arr in part] + stacks:
+    views, stacks = [], []
+    for group in (blocks[:-1], blocks[-1:]):
+        n_r, n_c = (max(len(b[k]) for b in group) for k in (0, 1))
+        M = np.zeros((len(group), n_r, n_c), dtype=complex)
+        rows, cols = np.full((len(group), n_r), n_rows), np.full((len(group), n_c), len(keys))
+        for k, (rb, cb, Mb) in enumerate(group):
+            rows[k, :len(rb)], cols[k, :len(cb)], M[k, :len(rb), :len(cb)] = rb, cb, Mb
+            views.append((rb, cb, M[k, :len(rb), :len(cb)]))
+        stacks.append((M, rows, cols))
+    for arr in [arr for part in views + stacks for arr in part]:
         arr.setflags(write=False)
-    return tuple(views), tuple(stacks), tuple(groups)
+    return tuple(views), tuple(stacks)
+
+
+def _apply(stacks, x: np.ndarray, n: int) -> np.ndarray:
+    """The n entries y[out] = M x[in] of the stacked block products (M, out, in), whose
+    padding reads and writes a spare last entry of x and of y."""
+    x, y = np.append(x, 0), np.zeros(n + 1, dtype=complex)
+    for M, out, into in stacks:
+        y[out] = (M @ x[into][..., None])[..., 0]
+    return y[:-1]
 
 
 def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse,
@@ -252,8 +231,8 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     require_hermitian(rho, "density matrix")
     freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
     # uncached: single pulses must not evict the pulse set's map
-    H, idx, S, *_ = _closed_form.__wrapped__(sys, [[pulse]], mode)
-    return SpectrumLines(freqs, _lines(H, idx, S, rho)[0])
+    _, stacks = _closed_form.__wrapped__(sys, [[pulse]], mode)
+    return SpectrumLines(freqs, _apply(stacks, tensor_coefficients(sys, rho), sys.d)[:-1])
 
 
 def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
@@ -289,10 +268,10 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     spectrum (before cycle summation), drawn pulse by pulse in cycle order.
     """
     require_hermitian(rho, "density matrix")
-    H, idx, S, t, *_ = _closed_form(sys, tuple(map(tuple, cycles)), mode)
-    B = np.empty(len(S) * len(H[0, 0]) + 1, dtype=complex)
-    _lines(H, idx, S, rho, out=B[:-1].reshape(len(S), -1))
-    B[-1] = t @ np.diagonal(rho)
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    _, stacks = _closed_form(sys, tuple(map(tuple, cycles)), mode)
+    B = _apply(stacks, tensor_coefficients(sys, rho), len(cycles) * (sys.d - 1) + 1)
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma
         sizes = np.array([len(cycle) for cycle in cycles])
@@ -305,24 +284,27 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
-    """Factor the pulse set's map block by block: one SVD per stack of blocks of one width gives
-    the rank and the conditioning of the whole map, and the block pseudo-inverses."""
-    blocks, stacks, groups = _blocks(sys, tuple(map(tuple, cycles)), mode)
+    """Factor the pulse set's map block by block: one SVD per padded stack gives, over each
+    block's own width, the rank and the conditioning of the whole map and the block
+    pseudo-inverses."""
+    blocks, stacks = _closed_form(sys, tuple(map(tuple, cycles)), mode)
     keys = tensor_keys(sys)
-    runs = [np.linalg.svd(stack, full_matrices=False) for stack in stacks]
-    svals = np.concatenate([s.ravel() for _, s, _ in runs])
-    kept = np.concatenate([(s > SVD_CUTOFF * svals.max()).sum(axis=1) for _, s, _ in runs])
+    runs = [np.linalg.svd(M, full_matrices=False) for M, _, _ in stacks]
+    own = [np.arange(s.shape[1]) < (cols < len(keys)).sum(axis=1, keepdims=True)
+           for (_, _, cols), (_, s, _) in zip(stacks, runs)]   # zero past each block's width
+    svals = np.concatenate([s[w] for (_, s, _), w in zip(runs, own)])
+    kept = np.concatenate([(s * w > SVD_CUTOFF * svals.max()).sum(axis=1)
+                           for (_, s, _), w in zip(runs, own)])
     if kept.sum() < len(keys):
         weak = np.zeros(len(keys), dtype=bool)
         for (_, cols, M), r in zip(blocks, kept):
             weak[cols] |= (np.abs(np.linalg.svd(M)[2][r:]) > 1e-6).any(axis=0)
         raise TomographyRankError(int(kept.sum()), len(keys), [k for k, w in zip(keys, weak) if w])
-    solve = [(np.zeros((*cols.shape, rows.shape[1]), dtype=complex), rows, cols)
-             for rows, cols in groups]
-    pinvs = [pinv for U, s, Vh in runs for pinv in (Vh.conj().transpose(0, 2, 1) / s[:, None])
-             @ np.conjugate(U, out=U).transpose(0, 2, 1)]
-    for (rows, cols, _), pinv, slot in zip(blocks, pinvs, [slot for P, *_ in solve for slot in P]):
-        slot[:len(cols), :len(rows)] = pinv[:, :len(rows)]
+    solve = []
+    for (U, s, Vh), w, (_, rows, cols) in zip(runs, own, stacks):
+        inv = np.divide(1, s, out=np.zeros_like(s), where=w)
+        solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
+                      cols, rows))
     return DesignSystem(keys, float(svals.max() / svals.min()), len(keys),
                         len(cycles) * (sys.d - 1) + 1, tuple(solve), blocks)
 
@@ -333,10 +315,7 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
     reports coefficients, the Hermitian residual and conditioning."""
     if len(B) != design.n_rows:
         raise ValueError("measurement vector length does not match design matrix")
-    X = np.empty(len(design.keys) + 1, dtype=complex)   # the last entry takes the padding
-    for P, rows, cols in design.solve:   # every block but the widest, then the widest
-        X[cols] = (P @ B[rows][..., None])[..., 0]
-    X = X[:-1]
+    X = _apply(design.solve, B, len(design.keys))
     raw = np.tensordot(X, tensor_stack(sys), axes=1)
     rho = (raw + raw.conj().T) / 2
     info = {

@@ -327,6 +327,19 @@ def test_cli_seed_override(tmp_path):
             != (out2 / "rho_1.json").read_bytes())
 
 
+@pytest.mark.parametrize("source", ["config", "preset"])
+def test_cli_seed_override_is_validated(tmp_path, capsys, source):
+    # an override passes the same schema as a file: a negative --seed exits 2 before any
+    # work, whether or not the run draws noise
+    p = write_config(tmp_path, {**GOOD, "noise_sigma": 0.01})
+    given = ["--config", str(p)] if source == "config" else ["--preset", "na23-cat-p1"]
+    out = tmp_path / "x"
+    assert main(["run", *given, "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "seed" in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_out_optimizer():
     # only optimize_smp needs scipy.optimize, and importing it costs a
     # third of the CLI's start-up

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spincat.dynamics import NmrParams
@@ -233,7 +234,6 @@ def test_measure_reuses_compiled_map():
     # equal, freshly built pulse set must not compile it again, and a
     # single-pulse spectrum neither compiles nor evicts a cached map
     tomography._closed_form.cache_clear()
-    tomography._blocks.cache_clear()
     nmr = NmrParams(0.0, 0.0, 2 * np.pi * 12345.0)
     build_design_matrix(SYS, pulse_set(SYS), nmr)
     compiled = tomography._closed_form.cache_info().misses
@@ -264,13 +264,13 @@ def test_fid_map_is_signed_coherence_map(spin):
     # the delay 1/nu_Q turns the line at (nu_Q/2)(2m+1) by pi(2m+1): (-1)^d exactly
     sys = SpinSystem(spin)
     cycles = tuple(map(tuple, pulse_set(sys)))
-    fid = tomography._closed_form.__wrapped__(sys, cycles, "fid")
-    coherence = tomography._closed_form.__wrapped__(sys, cycles, "coherence")
-    H, idx, S, t, gG, D = range(6)
-    for signed in (H, gG):
-        assert np.array_equal(fid[signed], (-1) ** sys.d * coherence[signed])
-    for same in (idx, S, t, D):
-        assert np.array_equal(fid[same], coherence[same])
+    fid, coherence = (tomography._closed_form.__wrapped__(sys, cycles, mode)[0]
+                      for mode in ("fid", "coherence"))
+    assert len(fid) == len(coherence)
+    for (fid_rows, fid_cols, fid_M), (rows, cols, M) in zip(fid, coherence):
+        assert np.array_equal(fid_rows, rows) and np.array_equal(fid_cols, cols)
+        sign = 1 if list(cols) == [0] else (-1) ** sys.d   # the trace row is not a line
+        assert np.array_equal(fid_M, sign * M)
     fid, coherence = (build_design_matrix(sys, cycles, NMR, mode).matrix
                       for mode in ("fid", "coherence"))
     assert np.array_equal(fid[:-1], (-1) ** sys.d * coherence[:-1])
@@ -296,6 +296,14 @@ def rx_product_map(sys, cycles, mode="coherence"):
     return np.vstack(rows + [np.trace(tensor_stack(sys), axis1=1, axis2=2)])
 
 
+def compiled_map(sys, cycles, mode="coherence"):
+    """The dense map assembled from the compiled diagonal blocks of a pulse set."""
+    A = np.zeros((len(cycles) * (sys.d - 1) + 1, sys.d ** 2), dtype=complex)
+    for rows, cols, M in tomography._closed_form.__wrapped__(sys, cycles, mode)[0]:
+        A[np.ix_(rows, cols)] = M
+    return A
+
+
 def dense_null_keys(sys, A):
     """Rank and weakly determined keys from one SVD of the dense design."""
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
@@ -319,17 +327,10 @@ def aliased_cycles(sys, steps=None):
 def test_closed_form_lines_match_rx_product(spin, mode):
     # L_theta[j, (K, Q)] = e^{-i pi (Q+1)/2} d^K_{-1,Q}(theta) (T_K,-1)_{j+1,j}, times the gain
     sys = SpinSystem(spin)
-    angles = (np.pi / 2, np.pi / 4, 0.0, np.pi, 2.3)
-    cycles = tuple((TomographyPulse(theta, 0.0, 0.0),) for theta in angles)
-    _, _, _, _, gG, D = tomography._closed_form.__wrapped__(sys, cycles, mode)
-    K, Q = np.array(tensor_keys(sys)).T
-    ops = angular_momentum(sys)
-    gain = np.diagonal(ops.Iplus, 1) * ((-1.0) ** sys.d if mode == "fid" else 1.0)
-    for a, theta in enumerate(sorted(angles)):
-        R = expm(-1j * theta * ops.Ix)
-        expected = gain[:, None] * np.einsum("ja,nab,jb->jn", R[1:], tensor_stack(sys),
-                                             R[:-1].conj())
-        assert np.abs(gG[:, K] * D[a, K, Q + sys.d - 1] - expected).max() <= 1e-13, theta
+    for theta in (np.pi / 2, np.pi / 4, 0.0, np.pi, 2.3):
+        cycles = ((TomographyPulse(theta, 0.0, 0.0),),)
+        expected = rx_product_map(sys, cycles, mode)
+        assert np.abs(compiled_map(sys, cycles, mode) - expected).max() <= 1e-13, theta
 
 
 @pytest.mark.parametrize("cycle_set", ["pulse_set", "aliased", "mixed"])
@@ -468,6 +469,45 @@ def test_run_tomography_pipeline():
     rec, info = run_tomography(SYS, rho, NMR)
     assert fidelity(rec, rho) > 1 - 1e-10
     assert info["hermitian_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_wrong_sized_density_matrix_is_refused(d):
+    # every entry point checks rho's shape against the spin, not only reconstruct's caller
+    rho = random_density(np.random.default_rng(d), d)
+    for call in (lambda: measure(SYS, rho, pulse_set(SYS), NMR),
+                 lambda: synthesize_spectrum(SYS, rho, zero_order_cycle(SYS)[0], NMR),
+                 lambda: run_tomography(SYS, rho, NMR)):
+        with pytest.raises(ValueError, match="density matrix must be 4x4"):
+            call()
+
+
+@pytest.mark.parametrize("sigma", [-0.5, float("nan")])
+def test_measure_refuses_negative_or_nan_noise(sigma):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        measure(SYS, np.eye(4) / 4, pulse_set(SYS), NMR, noise_sigma=sigma, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twoI=st.integers(1, 8), mode=st.sampled_from(["coherence", "fid"]),
+       cycle_set=st.sampled_from(["pulse_set", "extra", "aliased"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_measure_is_design_times_coefficients(twoI, mode, cycle_set, seed):
+    # measure applies the factored blocks: B = A c(rho) on any cycle set, and
+    # reconstruct inverts it
+    sys, rng = SpinSystem(twoI / 2), np.random.default_rng(seed)
+    cycles = aliased_cycles(sys) if cycle_set == "aliased" else pulse_set(sys)
+    if cycle_set == "extra":
+        cycles = cycles + [[TomographyPulse(rng.choice([np.pi / 2, np.pi / 4, np.pi / 3]),
+                                            *rng.uniform(0, 2 * np.pi, size=2))
+                            for _ in range(rng.integers(1, 6))]
+                           for _ in range(rng.integers(1, 4))]
+    rho = random_density(rng, sys.d)
+    design = build_design_matrix(sys, cycles, NMR, mode)
+    B = measure(sys, rho, cycles, NMR, mode)
+    assert np.abs(B - design.matrix @ tensor_coefficients(sys, rho)).max() <= (
+        1e-13 * np.abs(B).max())
+    assert np.abs(reconstruct(design, B, sys)[0] - rho).max() <= 1e-10
 
 
 def test_measurement_vector_length_check(design):
