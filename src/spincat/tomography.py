@@ -136,6 +136,13 @@ def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
     return cycles
 
 
+class _PulseSetKey(tuple):
+    """A pulse set as a cache key: hashed by its length and end cycles, compared in full."""
+
+    def __hash__(self):
+        return hash((len(self), self[:1], self[-1:]))
+
+
 def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
     """Hz offsets of the 2I single-quantum transitions; (nu_Q/2)(2m+1) for
     the transition between m+1 and m."""
@@ -170,11 +177,16 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
     zeros, as sums of roots of unity."""
     if mode not in ("coherence", "fid"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not cycles:
+        raise ValueError("the pulse set has no cycles")
+    pulses = [np.array(cycle) for cycle in cycles]
+    for c, p in enumerate(pulses):
+        if not (p.size and np.isfinite(p).all()):
+            raise ValueError(f"cycle {c} has {'a non-finite angle' if p.size else 'no pulses'}")
     d, stack, i, keys = sys.d, tensor_stack(sys), np.arange(sys.d), tensor_keys(sys)
     orders, key0 = np.arange(1 - d, d), i * i + i   # key0[K]: the index of T_K0
     gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (d * (mode == "fid"))
     gG = gain[:, None] * stack[key0 - 1][:, i[1:], i[:-1]].T   # g_j (T_K,-1)_{j+1,j}, K > 0
-    pulses = [np.array(cycle) for cycle in cycles]
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
     S = np.zeros((len(pulses), len(angles), len(orders)), dtype=complex)
     for s, (theta, phi, alpha) in zip(S, (p.T for p in pulses)):
@@ -263,22 +275,21 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
             mode: str = "coherence", noise_sigma: float = 0.0, seed=None) -> np.ndarray:
     """Stacked cycled line amplitudes plus the trace-constraint entry.
 
-    noise_sigma is expressed as a fraction of the largest noise-free line
-    amplitude over the whole measurement set and is applied per acquired
-    spectrum (before cycle summation), drawn pulse by pulse in cycle order.
+    noise_sigma is a fraction of the largest noise-free line over the whole set.  Every acquired
+    spectrum carries complex Gaussian noise of that deviation per line, so a cycle of N pulses
+    carries noise_sigma / sqrt(N): one default_rng(seed) draw per cycle line, in cycle order.
     """
     require_hermitian(rho, "density matrix")
     if not noise_sigma >= 0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    _, stacks = _closed_form(sys, tuple(map(tuple, cycles)), mode)
+    cycles = _PulseSetKey(map(tuple, cycles))
+    _, stacks = _closed_form(sys, cycles, mode)
     B = _apply(stacks, tensor_coefficients(sys, rho), len(cycles) * (sys.d - 1) + 1)
     if noise_sigma > 0:
-        scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma
-        sizes = np.array([len(cycle) for cycle in cycles])
-        noise = _complex_noise(np.random.default_rng(seed), scale,
-                               (sizes.sum(), sys.d - 1))
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        B[:-1] += (np.add.reduceat(noise, starts) / sizes[:, None]).ravel()
+        scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / np.sqrt(
+            [len(cycle) for cycle in cycles])
+        B[:-1] += (scale[:, None] * _complex_noise(np.random.default_rng(seed), 1.0,
+                                                   (len(cycles), sys.d - 1))).ravel()
     return B
 
 
@@ -287,7 +298,8 @@ def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
     """Factor the pulse set's map block by block: one SVD per padded stack gives, over each
     block's own width, the rank and the conditioning of the whole map and the block
     pseudo-inverses."""
-    blocks, stacks = _closed_form(sys, tuple(map(tuple, cycles)), mode)
+    cycles = _PulseSetKey(map(tuple, cycles))
+    blocks, stacks = _closed_form(sys, cycles, mode)
     keys = tensor_keys(sys)
     runs = [np.linalg.svd(M, full_matrices=False) for M, _, _ in stacks]
     own = [np.arange(s.shape[1]) < (cols < len(keys)).sum(axis=1, keepdims=True)

@@ -208,8 +208,9 @@ def test_mixed_angle_cycle_matches_expm_reference(spin):
 
 @pytest.mark.parametrize("spin", [1.5, 3.5])
 def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
-    # the noise is one default_rng(seed) draw of (real, imaginary) pairs for
-    # every line of every pulse, in cycle order, averaged within each cycle
+    # the mean of a cycle's N spectra, each with CN(0, s^2) line noise, is CN(0, s^2 / N):
+    # one default_rng(seed) draw of (real, imaginary) pairs per line of every cycle, in
+    # cycle order, each part of deviation s / sqrt(2 N)
     sys = SpinSystem(spin)
     cycles = pulse_set(sys)
     rho = random_density(np.random.default_rng(12), sys.d)
@@ -217,16 +218,30 @@ def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
     clean = measure(sys, rho, cycles, NMR)
     noisy = measure(sys, rho, cycles, NMR, noise_sigma=sigma, seed=seed)
     scale = sigma * np.abs(clean[:-1]).max()
-    n_pulses = sum(len(c) for c in cycles)
-    draw = np.random.default_rng(seed).normal(scale=scale / np.sqrt(2),
-                                              size=(n_pulses, sys.d - 1, 2))
-    draw = draw[..., 0] + 1j * draw[..., 1]
-    expected, start = [], 0
-    for cycle in cycles:
-        expected.append(draw[start:start + len(cycle)].mean(axis=0))
-        start += len(cycle)
+    draw = np.random.default_rng(seed).normal(size=(len(cycles), sys.d - 1, 2))
+    expected = [(re + 1j * im) * scale / np.sqrt(2 * len(cycle))
+                for cycle, (re, im) in zip(cycles, draw.transpose(0, 2, 1))]
     expected = clean + np.concatenate(expected + [[0.0]])
+    assert {len(cycle) for cycle in cycles} == {4, 2 * sys.d - 1}
     assert np.abs(noisy - expected).max() < 1e-12
+
+
+def test_noisy_measure_has_cycle_mean_law():
+    # over many seeds each cycle line's noise has variance scale^2 / N_c (a chi-square of
+    # 2 x seeds degrees of freedom, held to 5 sigma) with uncorrelated real and imaginary parts
+    cycles, rho, seeds = pulse_set(SYS), random_density(np.random.default_rng(15)), 4000
+    clean = measure(SYS, rho, cycles, NMR)
+    noise = np.array([measure(SYS, rho, cycles, NMR, noise_sigma=0.1, seed=s) - clean
+                      for s in range(seeds)])
+    assert not noise[:, -1].any()   # the trace row carries no noise
+    noise = noise[:, :-1]
+    expected = (0.1 * np.abs(clean[:-1]).max()) ** 2 / np.repeat(
+        [len(cycle) for cycle in cycles], SYS.d - 1)
+    bound = 5 / np.sqrt(seeds)   # chi2(2n) / 2n has deviation 1 / sqrt(n)
+    assert np.abs((np.abs(noise) ** 2).mean(axis=0) / expected - 1).max() <= bound
+    re, im = noise.real, noise.imag
+    correlation = (re * im).mean(axis=0) / np.sqrt((re ** 2).mean(axis=0) * (im ** 2).mean(axis=0))
+    assert np.abs(correlation).max() <= bound
 
 
 def test_measure_reuses_compiled_map():
@@ -257,6 +272,67 @@ def test_map_compiled_once_across_nu_q(mode):
     second = measure(SYS, rho, pulse_set(SYS), NmrParams(0.0, 0.0, 2 * np.pi * 12345.0), mode)
     assert tomography._closed_form.cache_info().misses == compiled
     assert np.array_equal(first, second)
+
+
+def test_pulse_sets_sharing_length_and_end_cycles_compile_apart():
+    # the cache key hashes only the length and the end cycles; equality must still tell
+    # a different middle cycle apart
+    cycles = pulse_set(SYS)
+    other = cycles[:5] + [coherence_cycle(SYS, 1, np.pi / 3)] + cycles[6:]
+    keys = [tomography._PulseSetKey(map(tuple, c)) for c in (cycles, other)]
+    assert hash(keys[0]) == hash(keys[1]) and keys[0] != keys[1]
+    rho = random_density(np.random.default_rng(16))
+    first, second = (measure(SYS, rho, c, NMR) for c in (cycles, other))
+    assert not np.allclose(first[15:18], second[15:18])
+    assert np.array_equal(first[:15], second[:15]) and np.array_equal(first[18:], second[18:])
+    designs = [build_design_matrix(SYS, c, NMR) for c in (cycles, other)]
+    for design, c in zip(designs, (cycles, other)):
+        assert np.array_equal(design.matrix, compiled_map(SYS, c))
+
+
+def test_equal_pulse_set_hits_compiled_map():
+    # value-equal cycles of new pulse objects, as lists or tuples, find the compiled map
+    build_design_matrix(SYS, pulse_set(SYS), NMR)
+    misses = tomography._closed_form.cache_info().misses
+    fresh = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
+                                       for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
+    for cycles in (pulse_set(SYS), fresh, tuple(map(tuple, fresh))):
+        build_design_matrix(SYS, cycles, NMR)
+        measure(SYS, random_density(np.random.default_rng(17)), cycles, NMR)
+    assert tomography._closed_form.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("call", ["measure", "build_design_matrix"])
+def test_empty_pulse_set_is_refused(call):
+    with pytest.raises(ValueError, match="the pulse set has no cycles"):
+        {"measure": lambda: measure(SYS, np.eye(4) / 4, [], NMR),
+         "build_design_matrix": lambda: build_design_matrix(SYS, [], NMR)}[call]()
+
+
+@pytest.mark.parametrize("call", ["measure", "build_design_matrix"])
+def test_empty_cycle_is_refused(call):
+    cycles = pulse_set(SYS)
+    cycles.insert(3, [])
+    for _ in range(2):   # refused again: a failed compile is not cached
+        with pytest.raises(ValueError, match="cycle 3 has no pulses"):
+            {"measure": lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
+             "build_design_matrix": lambda: build_design_matrix(SYS, cycles, NMR)}[call]()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("angle", [0, 1, 2])
+def test_non_finite_pulse_angle_is_refused(angle, value):
+    # a NaN theta at I = 3/2 used to give all-zero lines instead of an error
+    pulse = [np.pi / 2, 0.3, 0.0]
+    pulse[angle] = value
+    cycles = pulse_set(SYS) + [[TomographyPulse(np.pi / 4, 0.0, 0.0), TomographyPulse(*pulse)]]
+    for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
+                 lambda: build_design_matrix(SYS, cycles, NMR),
+                 lambda: synthesize_spectrum(SYS, np.eye(4) / 4, TomographyPulse(*pulse), NMR)):
+        with pytest.raises(ValueError, match="has a non-finite angle"):
+            call()
+    with pytest.raises(ValueError, match="cycle 15 has a non-finite angle"):
+        measure(SYS, np.eye(4) / 4, cycles, NMR)
 
 
 @pytest.mark.parametrize("spin", [1.5, 2.0, 3.5])
