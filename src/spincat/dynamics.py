@@ -1,7 +1,7 @@
 """Rotating-frame Hamiltonians and exact unitary evolution.
 
-All Hamiltonians are stored divided by hbar (rad/s).  Propagators are
-built by eigendecomposition so they stay unitary to rounding.
+All Hamiltonians are stored divided by hbar (rad/s).  Propagators are built by eigendecomposition
+so they stay unitary to rounding; the resonant schedule, diagonal in m, takes one phase per level.
 """
 
 from dataclasses import dataclass
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_ops import SpinSystem, angular_momentum, expm_hermitian, require_hermitian
-from .states import coherent_state, projector
+from .states import coherent_state
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,17 @@ def evolve(state_or_rho: np.ndarray, H: np.ndarray, t: float) -> np.ndarray:
 
 def cat_time(nu_Q: float) -> float:
     """Quarter-period t_S = pi/omega_Q = 1/(2 nu_Q) in seconds."""
-    if nu_Q <= 0:
-        raise ValueError("nu_Q must be positive")
+    if not 0 < nu_Q < np.inf:
+        raise ValueError("nu_Q must be positive and finite")
     return 1.0 / (2.0 * nu_Q)
 
 
 def free_evolution_schedule(sys: SpinSystem, p: int, nu_Q: float, checkpoints,
                             vartheta: float = np.pi / 2, varphi: float = 0.0):
-    """Deviation matrices of an initial coherent state after free evolution
-    at the requested multiples of t_S under the resonant nonlinear
-    Hamiltonian.  Checkpoint times are formed as exact multiples of t_S."""
-    omega_Q = 2 * np.pi * nu_Q
-    H = effective_hamiltonian(sys, omega_Q, p)
-    t_S = cat_time(nu_Q)
-    rho0 = projector(coherent_state(sys, vartheta, varphi))
-    return [evolve(rho0, H, k * t_S) for k in checkpoints]
+    """Deviation matrices of an initial coherent state after free evolution at the requested
+    multiples of t_S (formed exactly) under the resonant nonlinear Hamiltonian.  That is
+    diagonal with levels h, so psi_k = e^{-i h k t_S} psi_0 and rho_k = psi_k psi_k^dag."""
+    times = np.array(checkpoints, dtype=float)[:, None] * cat_time(nu_Q)
+    h = effective_hamiltonian(sys, 2 * np.pi * nu_Q, p).diagonal().real
+    psi = np.exp(-1j * h * times) * coherent_state(sys, vartheta, varphi)
+    return list(psi[:, :, None] * psi[:, None].conj())

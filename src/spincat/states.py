@@ -24,11 +24,10 @@ def coherent_state(sys: SpinSystem, vartheta: float, varphi: float) -> np.ndarra
     if not (0 <= vartheta <= np.pi):
         raise ValueError("vartheta must lie in [0, pi]")
     twoI = round(2 * sys.I)
-    n = (sys.I + sys.m_values).round().astype(int)  # I+m, ordered 2I .. 0
-    s = np.sin(vartheta / 2)
-    c = np.cos(vartheta / 2)
-    amp = np.array([np.sqrt(comb(twoI, k)) * s ** k * c ** (twoI - k)
-                    * np.exp(-1j * k * varphi) for k in n])
+    n = np.arange(twoI, -1, -1)  # I+m, ordered 2I .. 0
+    s, c = np.sin(vartheta / 2), np.cos(vartheta / 2)
+    amp = (np.sqrt([float(comb(twoI, k)) for k in n.tolist()]) * s ** n
+           * c ** (twoI - n) * np.exp(-1j * n * varphi))
     return amp / np.linalg.norm(amp)
 
 

@@ -143,13 +143,6 @@ class _PulseSetKey(tuple):
         return hash((len(self), self[:1], self[-1:]))
 
 
-def _line_frequencies(sys: SpinSystem, nu_Q: float) -> np.ndarray:
-    """Hz offsets of the 2I single-quantum transitions; (nu_Q/2)(2m+1) for
-    the transition between m+1 and m."""
-    ms = sys.m_values[1:]  # lower level of each transition
-    return (nu_Q / 2) * (2 * ms + 1)
-
-
 def _rotation_rows(twoI: int, thetas: np.ndarray) -> np.ndarray:
     """D[a, K, 2I + Q] = e^{-i pi (Q+1)/2} d^K_{-1,Q}(theta_a), zero for |Q| > K and K = 0:
     Wigner's closed form at K = max(1, |Q|), then the three-term recurrence in K
@@ -168,6 +161,15 @@ def _rotation_rows(twoI: int, thetas: np.ndarray) -> np.ndarray:
     return D[:-1].transpose(2, 0, 1) * np.exp(-0.5j * np.pi * np.arange(1 - twoI, twoI + 2))
 
 
+def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
+    """gG[j, K] = g_j (T_K,-1)_{j+1,j}, 0 at K = 0: g the I+ gain, times (-1)^d in fid mode."""
+    if mode not in ("coherence", "fid"):
+        raise ValueError(f"unknown mode {mode!r}")
+    i = np.arange(sys.d)
+    gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (sys.d * (mode == "fid"))
+    return gain[:, None] * tensor_stack(sys)[i * i + i - 1][:, i[1:], i[:-1]].T
+
+
 @lru_cache(maxsize=4)
 def _closed_form(sys: SpinSystem, cycles, mode: str):
     """Read-only (blocks, stacks) of a pulse set's map (module docstring), built once per
@@ -175,8 +177,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
     zero-padded stacks (M, rows, cols): every block but the widest, and the widest.  Padded
     rows and columns point at a spare entry past the end.  Phase sums below 1e-12 are exact
     zeros, as sums of roots of unity."""
-    if mode not in ("coherence", "fid"):
-        raise ValueError(f"unknown mode {mode!r}")
+    gG = _line_gains(sys, mode)
     if not cycles:
         raise ValueError("the pulse set has no cycles")
     pulses = [np.array(cycle) for cycle in cycles]
@@ -184,9 +185,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
         if not (p.size and np.isfinite(p).all()):
             raise ValueError(f"cycle {c} has {'a non-finite angle' if p.size else 'no pulses'}")
     d, stack, i, keys = sys.d, tensor_stack(sys), np.arange(sys.d), tensor_keys(sys)
-    orders, key0 = np.arange(1 - d, d), i * i + i   # key0[K]: the index of T_K0
-    gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (d * (mode == "fid"))
-    gG = gain[:, None] * stack[key0 - 1][:, i[1:], i[:-1]].T   # g_j (T_K,-1)_{j+1,j}, K > 0
+    orders = np.arange(1 - d, d)
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
     S = np.zeros((len(pulses), len(angles), len(orders)), dtype=complex)
     for s, (theta, phi, alpha) in zip(S, (p.T for p in pulses)):
@@ -236,15 +235,18 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
                         nmr: NmrParams, mode: str = "coherence") -> SpectrumLines:
     """Line spectrum observed after one tomography pulse.
 
-    "coherence" mode reads the single-quantum coherences directly; "fid"
-    mode reads them at the start of acquisition, after the
-    pre-acquisition delay 1/nu_Q.
+    "coherence" mode reads the single-quantum coherences directly; "fid" mode reads them at the
+    start of acquisition, after the pre-acquisition delay 1/nu_Q.  Line j, at (nu_Q/2)(2m+1)
+    between m+1 and m, is sum_KQ gG[j, K] e^{i(alpha + phi(1 + Q))} D[K, Q](theta) c_KQ.
     """
     require_hermitian(rho, "density matrix")
-    freqs = _line_frequencies(sys, nmr.omega_Q / (2 * np.pi))
-    # uncached: single pulses must not evict the pulse set's map
-    _, stacks = _closed_form.__wrapped__(sys, [[pulse]], mode)
-    return SpectrumLines(freqs, _apply(stacks, tensor_coefficients(sys, rho), sys.d)[:-1])
+    gG, (theta, phi, alpha) = _line_gains(sys, mode), pulse
+    if not np.isfinite(pulse).all():
+        raise ValueError("the pulse has a non-finite angle")
+    (K, Q), twoI = np.array(tensor_keys(sys)).T, sys.d - 1
+    D = _rotation_rows(twoI, np.array([theta]))[0, K, twoI + Q]
+    c = np.exp(1j * (alpha + phi * (1 + Q))) * D * tensor_coefficients(sys, rho)
+    return SpectrumLines(nmr.omega_Q / (4 * np.pi) * (2 * sys.m_values[1:] + 1), gG[:, K] @ c)
 
 
 def _complex_noise(rng, sigma: float, shape) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincat.dynamics import (NmrParams, QuadrupolarParams,
                               atom_field_hamiltonian, cat_time,
@@ -135,6 +136,35 @@ def test_free_evolution_schedule():
     assert fidelity(devs[1], projector(cat_state(sys, np.pi / 2, 0, 1))) > 1 - 1e-12
     # two cat times re-focus the state into a single coherent state
     assert abs(np.trace(devs[2] @ devs[2]).real - 1) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(twoI=st.integers(1, 40), p=st.integers(-3, 3),
+       vartheta=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi)),
+       varphi=st.floats(-1e6, 1e6), checkpoints=st.lists(st.integers(0, 8), max_size=5))
+def test_schedule_matches_general_evolution(twoI, p, vartheta, varphi, checkpoints):
+    # the closed-form phases agree with exp(-i H t) of the same Hamiltonian at every checkpoint
+    sys = SpinSystem(twoI / 2)
+    rho0 = projector(coherent_state(sys, vartheta, varphi))
+    H = effective_hamiltonian(sys, OMEGA_Q, p)
+    devs = free_evolution_schedule(sys, p, NU_Q, checkpoints, vartheta, varphi)
+    assert len(devs) == len(checkpoints)
+    for k, rho in zip(checkpoints, devs):
+        assert rho.shape == (sys.d, sys.d)
+        assert np.abs(rho - evolve(rho0, H, k * cat_time(NU_Q))).max() < 1e-13
+        assert np.abs(rho - rho.conj().T).max() < 1e-12
+        assert abs(np.trace(rho) - 1) < 1e-12
+        assert abs(np.trace(rho @ rho) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [{"p": 0.5}, {"p": 1.5}, {"nu_Q": 0.0}, {"nu_Q": -NU_Q},
+                                 {"nu_Q": np.nan}, {"nu_Q": np.inf}, {"vartheta": -0.1},
+                                 {"vartheta": 3.2}])
+def test_schedule_refuses_bad_input(bad):
+    args = {"p": 1, "nu_Q": NU_Q, "vartheta": np.pi / 2, **bad}
+    with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
+        free_evolution_schedule(SpinSystem(1.5), args["p"], args["nu_Q"], [0, 1],
+                                args["vartheta"])
 
 
 def test_nmr_params_validation():

@@ -1,5 +1,7 @@
 """Coherent states, cat superpositions, thermal matrices, fidelity."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,17 @@ def test_fidelity_rejects_bad_inputs():
 def test_coherent_state_domain():
     with pytest.raises(ValueError):
         coherent_state(SpinSystem(1.5), -0.1, 0.0)
+
+
+@pytest.mark.parametrize("vartheta", [0.0, np.pi / 3, np.pi / 2, np.pi])
+def test_coherent_state_matches_per_entry_formula(vartheta):
+    # the array form against the loop it replaced, one complex exponential per level
+    for twoI in range(1, 41):
+        sys = SpinSystem(twoI / 2)
+        for varphi in (0.0, 0.4, -2.9):
+            n = (sys.I + sys.m_values).round().astype(int)
+            s, c = np.sin(vartheta / 2), np.cos(vartheta / 2)
+            want = np.array([np.sqrt(comb(twoI, k)) * s ** k * c ** (twoI - k)
+                             * np.exp(-1j * k * varphi) for k in n])
+            want /= np.linalg.norm(want)
+            assert np.abs(coherent_state(sys, vartheta, varphi) - want).max() <= 1e-15
