@@ -62,10 +62,7 @@ def _angular_momentum_cached(twoI: int) -> SpinOperators:
     d = twoI + 1
     ms = I - np.arange(d)
     Iz = np.diag(ms).astype(complex)
-    Iplus = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        m = ms[k]
-        Iplus[k - 1, k] = np.sqrt(I * (I + 1) - m * (m + 1))
+    Iplus = np.diag(np.sqrt(I * (I + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
     Iminus = Iplus.conj().T
     Ix = (Iplus + Iminus) / 2
     Iy = (Iplus - Iminus) / 2j
@@ -81,21 +78,18 @@ def angular_momentum(sys: SpinSystem) -> SpinOperators:
 
 
 @lru_cache(maxsize=None)
-def _tensor_stack_cached(twoI: int) -> np.ndarray:
-    """Orthonormal irreducible tensor operators T_KQ, Tr(T_KQ^dag T_K'Q') = dd,
-    stacked as one read-only (d^2, d, d) array with T_KQ at K^2 + K + Q.
-
-    T_KQ lives on the entries t_ij with j - i = Q, where the Casimir
-    sum_a [I_a, [I_a, t]] = K(K+1) t is a symmetric tridiagonal matrix:
-    diagonal 2I(I+1) - 2 m_i m_j, off-diagonal -a_i a_j with a the
-    superdiagonal of I+.  Its eigenvectors, in ascending order, are
-    T_KQ for K = |Q|..2I; each is signed so that its first entry has the
-    sign (-1)^max(Q, 0), the phase of T_KK ~ (-1)^K Iplus^K.
-    """
-    I, d = twoI / 2, twoI + 1
-    ms = I - np.arange(d)
-    a = np.diagonal(_angular_momentum_cached(twoI).Iplus, 1).real
-    stack = np.zeros((d * d, d, d), dtype=complex)
+def tensor_band(sys: SpinSystem) -> tuple:
+    """Read-only (band, idx, K, Q, at) of the orthonormal tensor operators T_KQ, each on rho's
+    Q-th diagonal: band[2I + Q, K, i] = (T_KQ)_{i,i+Q}, real, 0 where K < |Q| or i + Q falls
+    off rho; idx[2I + Q, i] = the flat index of rho[i, i+Q], or d^2 off rho; K, Q label
+    coefficient vectors, T_KQ at K^2 + K + Q; at = (2I + Q) d + K.  On its diagonal T_KQ is the
+    eigenvector, ascending in K = |Q|..2I, of the Casimir sum_a [I_a, [I_a, t]] = K(K+1) t, a
+    symmetric tridiagonal (diagonal 2I(I+1) - 2 m_i m_j, off-diagonal -a_i a_j, a = I+'s
+    superdiagonal), signed so that its first entry has the sign (-1)^max(Q, 0), as (-I+)^K."""
+    twoI, d, i = sys.d - 1, sys.d, np.arange(sys.d)
+    I, ms = twoI / 2, twoI / 2 - i
+    a = np.diagonal(angular_momentum(sys).Iplus, 1).real
+    band = np.zeros((2 * twoI + 1, d, d))
     for Q in range(-twoI, twoI + 1):
         rows = np.arange(max(0, -Q), d - max(0, Q))
         cols = rows + Q
@@ -103,42 +97,68 @@ def _tensor_stack_cached(twoI: int) -> np.ndarray:
         diag = 2 * I * (I + 1) - 2 * ms[rows] * ms[cols]
         _, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         V *= (-1) ** max(Q, 0) * np.sign(V[0])
-        K = np.arange(abs(Q), twoI + 1)
-        stack[(K * K + K + Q)[:, None], rows, cols] = V.T
+        band[twoI + Q][abs(Q):, rows] = V.T
+    orders = np.arange(-twoI, twoI + 1)[:, None]
+    idx = np.where((0 <= i + orders) & (i + orders < d), i * (d + 1) + orders, d * d)
+    K = np.repeat(i, 2 * i + 1)
+    Q = np.arange(d * d) - K * K - K
+    at = (Q + twoI) * d + K
+    for arr in (band, idx, K, Q, at):
+        arr.setflags(write=False)
+    return band, idx, K, Q, at
+
+
+@lru_cache(maxsize=2)
+def tensor_stack(sys: SpinSystem) -> np.ndarray:
+    """Read-only dense (d^2, d, d) stack of the operators in tensor_keys order, assembled from
+    the band for callers that want whole operators; the latest two spins are kept."""
+    band, idx, K, Q, _ = tensor_band(sys)
+    flat = np.zeros((len(K), len(K) + 1), dtype=complex)   # column d^2 takes the off-rho zeros
+    flat[np.arange(len(K))[:, None], idx[Q + sys.d - 1]] = band[Q + sys.d - 1, K]
+    stack = flat[:, :-1].reshape(len(K), sys.d, sys.d)
     stack.setflags(write=False)
     return stack
 
 
 def spherical_tensor_basis(sys: SpinSystem) -> dict:
-    """All (2I+1)^2 orthonormal tensor operators keyed by (K, Q), as
-    read-only views of the cached stack in a fresh dict."""
+    """All (2I+1)^2 operators keyed by (K, Q): read-only views of tensor_stack, fresh dict."""
     return dict(zip(tensor_keys(sys), tensor_stack(sys)))
 
 
 def spherical_tensor(sys: SpinSystem, K: int, Q: int) -> np.ndarray:
-    twoI = round(2 * sys.I)
-    if not (0 <= K <= twoI) or not (-K <= Q <= K):
+    if not (0 <= K < sys.d) or not (-K <= Q <= K):
         raise ValueError(f"rank/order ({K},{Q}) out of range for I={sys.I}")
-    return _tensor_stack_cached(twoI)[K * K + K + Q]
+    return tensor_stack(sys)[K * K + K + Q]
 
 
 def tensor_keys(sys: SpinSystem):
     """Fixed (K, Q) ordering used for coefficient vectors."""
-    twoI = round(2 * sys.I)
-    return [(K, Q) for K in range(twoI + 1) for Q in range(-K, K + 1)]
-
-
-def tensor_stack(sys: SpinSystem) -> np.ndarray:
-    """Read-only (d^2, d, d) array of the tensor operators in tensor_keys order."""
-    return _tensor_stack_cached(round(2 * sys.I))
+    _, _, K, Q, _ = tensor_band(sys)
+    return list(zip(K.tolist(), Q.tolist()))
 
 
 def tensor_coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
-    """c_KQ = Tr(T_KQ^dag rho) in tensor_keys order, one product with conj(vec rho),
-    so that rho = sum_KQ c_KQ T_KQ."""
-    if rho.shape != (sys.d, sys.d):
+    """c_KQ = Tr(T_KQ^dag rho) in tensor_keys order, so that rho = sum_KQ c_KQ T_KQ: one batched
+    real product of the band with rho's diagonals, whose off-rho slots ("clip") meet band zeros."""
+    band, idx, _, _, at = tensor_band(sys)
+    if rho.shape != band.shape[1:]:
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    return (tensor_stack(sys).reshape(sys.d ** 2, -1) @ rho.conj().ravel()).conj()
+    diagonals = rho.take(idx, mode="clip").astype(complex, copy=False)
+    return (band @ diagonals.view(float).reshape(*idx.shape, 2)).view(complex).ravel()[at]
+
+
+def from_tensor_coefficients(sys: SpinSystem, c) -> np.ndarray:
+    """rho = sum_KQ c_KQ T_KQ for c in tensor_keys order, the inverse of tensor_coefficients:
+    the transposed band product, scattered onto rho's diagonals."""
+    band, idx, K, _, at = tensor_band(sys)
+    if len(c) != len(K):
+        raise ValueError(f"I={sys.I} has {len(K)} tensor coefficients, got {len(c)}")
+    by_order = np.zeros(band.shape[:2], dtype=complex)
+    by_order.put(at, c)
+    diagonals = band.transpose(0, 2, 1) @ by_order.view(float).reshape(*by_order.shape, 2)
+    rho = np.zeros(len(K) + 1, dtype=complex)   # entry d^2 takes the off-rho zeros
+    rho[idx] = diagonals.view(complex)[..., 0]
+    return rho[:-1].reshape(sys.d, sys.d)
 
 
 def reduced_wigner_d(L, theta: float) -> np.ndarray:

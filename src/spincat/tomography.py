@@ -36,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, angular_momentum, require_hermitian, tensor_coefficients,
-                       tensor_keys, tensor_stack)
+from .spin_ops import (SpinSystem, angular_momentum, from_tensor_coefficients, require_hermitian,
+                       tensor_band, tensor_coefficients, tensor_keys)
 from .dynamics import NmrParams
 
 # Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
@@ -79,7 +79,7 @@ class DesignSystem:
         """The read-only (n_rows, d^2) map in tensor coordinates, assembled on first use."""
         A = np.zeros((self.n_rows, len(self.keys)), dtype=complex)
         for rows, cols, M in self.blocks:
-            A[np.ix_(rows, cols)] = M
+            A[rows[:, None], cols] = M
         A.setflags(write=False)
         return A
 
@@ -165,9 +165,8 @@ def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
     """gG[j, K] = g_j (T_K,-1)_{j+1,j}, 0 at K = 0: g the I+ gain, times (-1)^d in fid mode."""
     if mode not in ("coherence", "fid"):
         raise ValueError(f"unknown mode {mode!r}")
-    i = np.arange(sys.d)
     gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (sys.d * (mode == "fid"))
-    return gain[:, None] * tensor_stack(sys)[i * i + i - 1][:, i[1:], i[:-1]].T
+    return gain[:, None] * tensor_band(sys)[0][sys.d - 2, :, 1:].T   # Q = -1, rows 1..2I
 
 
 @lru_cache(maxsize=4)
@@ -184,7 +183,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
     for c, p in enumerate(pulses):
         if not (p.size and np.isfinite(p).all()):
             raise ValueError(f"cycle {c} has {'a non-finite angle' if p.size else 'no pulses'}")
-    d, stack, i, keys = sys.d, tensor_stack(sys), np.arange(sys.d), tensor_keys(sys)
+    (band, _, K, Q, _), d, i = tensor_band(sys), sys.d, np.arange(sys.d)
     orders = np.arange(1 - d, d)
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
     S = np.zeros((len(pulses), len(angles), len(orders)), dtype=complex)
@@ -193,13 +192,13 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
         for a, angle in enumerate(angles):
             s[a] = phase[theta == angle].sum(axis=0) / len(theta)
     D = _rotation_rows(d - 1, np.array(angles))
-    (K, Q), n_rows = np.array(keys).T, len(S) * (d - 1) + 1
+    n_rows = len(S) * (d - 1) + 1
     touch = np.abs(S).max(axis=1) > 1e-12            # (cycle, order) linked
     link = touch.T @ touch.astype(float) + np.eye(len(orders))
     for _ in range(len(link).bit_length()):          # transitive closure by squaring
         link = (link @ link > 0).astype(float)
     label = np.where(K > 0, link.argmax(axis=0)[Q + d - 1], -1)
-    t00 = np.trace(stack[0]).reshape(1, 1)           # T_00 alone with the trace row
+    t00 = band[d - 1, 0].sum().reshape(1, 1)         # T_00 alone with the trace row
     blocks = [(np.array([n_rows - 1]), np.array([0]), t00)]
     for lab in sorted(set(label.tolist()) - {-1}):
         cols = np.flatnonzero(label == lab)
@@ -212,7 +211,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
     for group in (blocks[:-1], blocks[-1:]):
         n_r, n_c = (max(len(b[k]) for b in group) for k in (0, 1))
         M = np.zeros((len(group), n_r, n_c), dtype=complex)
-        rows, cols = np.full((len(group), n_r), n_rows), np.full((len(group), n_c), len(keys))
+        rows, cols = np.full((len(group), n_r), n_rows), np.full((len(group), n_c), len(K))
         for k, (rb, cb, Mb) in enumerate(group):
             rows[k, :len(rb)], cols[k, :len(cb)], M[k, :len(rb), :len(cb)] = rb, cb, Mb
             views.append((rb, cb, M[k, :len(rb), :len(cb)]))
@@ -243,7 +242,7 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     gG, (theta, phi, alpha) = _line_gains(sys, mode), pulse
     if not np.isfinite(pulse).all():
         raise ValueError("the pulse has a non-finite angle")
-    (K, Q), twoI = np.array(tensor_keys(sys)).T, sys.d - 1
+    (_, _, K, Q, _), twoI = tensor_band(sys), sys.d - 1
     D = _rotation_rows(twoI, np.array([theta]))[0, K, twoI + Q]
     c = np.exp(1j * (alpha + phi * (1 + Q))) * D * tensor_coefficients(sys, rho)
     return SpectrumLines(nmr.omega_Q / (4 * np.pi) * (2 * sys.m_values[1:] + 1), gG[:, K] @ c)
@@ -330,7 +329,7 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
     if len(B) != design.n_rows:
         raise ValueError("measurement vector length does not match design matrix")
     X = _apply(design.solve, B, len(design.keys))
-    raw = np.tensordot(X, tensor_stack(sys), axes=1)
+    raw = from_tensor_coefficients(sys, X)
     rho = (raw + raw.conj().T) / 2
     info = {
         "coefficients": dict(zip(design.keys, X)),

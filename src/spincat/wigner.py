@@ -4,12 +4,12 @@ W(theta, phi) = sqrt((2I+1)/4pi) sum_KQ <T_KQ> Y_KQ(theta, phi), evaluated
 on a Gauss-Legendre (in cos theta) x uniform (in phi) grid.  With the
 orthonormal tensor convention the map integrates to exactly Tr(rho).
 
-T_KQ lives on rho's Q-th diagonal and Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, so
-a map runs by order, as fast spherical-harmonic transforms do (Driscoll & Healy, Adv.
-Appl. Math. 15, 202 (1994)): a kernel G[Q, t, i] = sqrt(d/4pi) sum_K T_KQ[i, i+Q]
-Y_KQ(theta_t, 0) sums the ranks on the diagonals, and one product with e^{iQ phi} spreads
-the 4I + 1 orders, exact for any n_phi where an FFT would fold |Q| >= n_phi/2.  The nodes,
-G and e^{iQ phi} are built once per (2I, n_theta, n_phi) and kept read-only.
+T_KQ lives on rho's Q-th diagonal and Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, so a map
+runs by order, as fast spherical-harmonic transforms do (Driscoll & Healy, Adv. Appl. Math. 15,
+202 (1994)): a kernel G[Q] = sqrt(d/4pi) Y[Q]^T band[Q], harmonics Y[Q, K, t] = Y_KQ(theta_t, 0)
+times spin_ops' tensor band, sums the ranks on the diagonals, and one product with e^{iQ phi}
+spreads the 4I + 1 orders, exact for any n_phi where an FFT would fold |Q| >= n_phi/2.  The
+nodes, G and e^{iQ phi} are built once per (2I, n_theta, n_phi) and kept read-only.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, require_hermitian, tensor_coefficients, tensor_keys,
-                       tensor_stack)
+from .spin_ops import SpinSystem, require_hermitian, tensor_band, tensor_coefficients, tensor_keys
 
 MIN_GRID = 8
 
@@ -87,19 +86,15 @@ def _grid_nodes(n_theta, n_phi):
 @lru_cache(maxsize=4)
 def _grid_factors(twoI: int, n_theta: int, n_phi: int):
     """Read-only (theta, weights, phi, G, idx, E) of a spin-2I/2 map on an n_theta x n_phi grid
-    for Q = -2I..2I: idx[Q, i] = flat index of rho[i, i+Q], or d^2 off rho; E = e^{iQ phi}."""
+    for Q = -2I..2I, G as in the module docstring (Y, like the band, is 0 for K < |Q|), idx
+    the flat index of rho's diagonals from spin_ops' band, and E = e^{iQ phi}."""
     theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
-    sys = SpinSystem(twoI / 2)
-    K, Q = np.array(tensor_keys(sys)).T
-    Y, T = _polar_harmonics(K, Q, theta), tensor_stack(sys).reshape(sys.d ** 2, -1).real
-    d, orders, i = sys.d, np.arange(-twoI, twoI + 1), np.arange(sys.d)
-    on = (0 <= i + orders[:, None]) & (i + orders[:, None] < d)
-    idx = np.where(on, i * (d + 1) + orders[:, None], d * d)
-    G, E = np.zeros((len(orders), n_theta, d)), np.exp(1j * np.outer(orders, phi))
-    for g, q, at, ok in zip(G, orders, idx, on):   # one order's band of the stack at a time
-        g[:, ok] = Y[Q == q].T @ T[np.ix_(Q == q, at[ok])]
-    G *= np.sqrt(d / (4 * np.pi))
-    for a in (theta, wtheta, phi, G, idx, E):
+    band, idx, _, _, _ = tensor_band(SpinSystem(twoI / 2))
+    orders = np.arange(-twoI, twoI + 1)
+    Y = _polar_harmonics(np.arange(twoI + 1), orders[:, None], theta)
+    G = Y.transpose(0, 2, 1) @ band * np.sqrt((twoI + 1) / (4 * np.pi))
+    E = np.exp(1j * np.outer(orders, phi))
+    for a in (theta, wtheta, phi, G, E):
         a.setflags(write=False)
     return theta, wtheta, phi, G, idx, E
 
@@ -107,10 +102,8 @@ def _grid_factors(twoI: int, n_theta: int, n_phi: int):
 def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
     """W evaluated at arbitrary angles (vectorized over theta/phi arrays)."""
     require_hermitian(rho, "density matrix")
-    coeffs = tensor_expectations(sys, rho)
-    acc = 0
-    for (K, Q), c in coeffs.items():
-        acc = acc + c * spherical_harmonic(K, Q, theta, phi)
+    acc = sum(c * spherical_harmonic(K, Q, theta, phi)
+              for (K, Q), c in tensor_expectations(sys, rho).items())
     return (np.sqrt(sys.d / (4 * np.pi)) * acc).real
 
 

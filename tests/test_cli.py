@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spincat
+from spincat import spin_ops, tomography, wigner
 from spincat.cli import main, run_experiment
 from spincat.config import (CONFIG_SCHEMA, ConfigError, ExperimentConfig, PRESETS,
                             _check_schema, get_preset, load_config, validate_config)
@@ -208,6 +209,24 @@ def test_any_config_is_rejected_by_name_or_runs(data, tmp_path_factory):
         rho = np.array(json.loads((out / f"rho_{cp['k']}.json").read_text())["rho_re"])
         assert math.isfinite(cp["fidelity"])
         assert abs(cp["wigner_integral"] - np.trace(rho)) <= 1e-9 * max(1.0, np.abs(rho).max())
+
+
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+def test_pipeline_never_builds_the_dense_tensor_stack(tmp_path, monkeypatch, mode):
+    # every stage reads the banded basis: a noisy run completes with the dense stack refused
+    def refuse(sys):
+        raise AssertionError(f"a pipeline stage built the dense tensor stack at I={sys.I}")
+
+    dense = spin_ops.tensor_stack   # also counts calls through a name imported elsewhere
+    for cached in (dense, spin_ops.tensor_band, tomography._closed_form, wigner._grid_factors):
+        cached.cache_clear()
+    monkeypatch.setattr(spin_ops, "tensor_stack", refuse)
+    cfg = validate_config({"spin": 3.5, "nu_Q": 15220.0, "p": 1, "checkpoints": [0, 1],
+                           "noise_sigma": 0.02, "seed": 4, "mode": mode})
+    report = run_experiment(cfg, tmp_path)
+    assert len(report["checkpoints"]) == 2
+    assert all(cp["fidelity"] > 0.9 for cp in report["checkpoints"])
+    assert dense.cache_info()[:2] == (0, 0)   # no hits, no misses
 
 
 def test_invalid_json_file(tmp_path):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from spincat.dynamics import NmrParams, nmr_hamiltonian
 from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, angular_momentum, expm_hermitian,
-                              reduced_wigner_d, require_hermitian, rotation_operator,
-                              spherical_tensor, spherical_tensor_basis,
-                              tensor_keys, tensor_stack)
+                              from_tensor_coefficients, reduced_wigner_d, require_hermitian,
+                              rotation_operator, spherical_tensor, spherical_tensor_basis,
+                              tensor_band, tensor_coefficients, tensor_keys, tensor_stack)
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0]
 
@@ -108,6 +109,43 @@ def test_tensor_casimir_and_ladder_relations(I):
     lowered = np.sqrt(K * (K + 1) - Q * (Q - 1))[:, None, None] * np.roll(T, 1, axis=0)
     err = np.abs(comm(ops.Iminus, T) - lowered).max(axis=(1, 2))
     assert (err <= bound).all()
+
+
+@pytest.mark.parametrize("I", [0.5, 1.5, 3.5, 7.5, 20.0])
+def test_tensor_band_layout(I):
+    # one real, read-only diagonal per T_KQ: band[2I + Q, K, i] = (T_KQ)_{i,i+Q}, exactly 0
+    # where K < |Q| or i + Q falls off rho, and about 1 MB at the largest spin
+    sys = SpinSystem(I)
+    band, idx, K, Q, at = tensor_band(sys)
+    twoI, d = sys.d - 1, sys.d
+    assert band.shape == (2 * twoI + 1, d, d) and band.dtype == np.float64
+    assert not any(a.flags.writeable for a in (band, idx, K, Q, at))
+    q, i = np.ogrid[-twoI:twoI + 1, :d]
+    on = (0 <= i + q) & (i + q < d)
+    assert (band[np.arange(d) < abs(q)] == 0).all()   # K < |Q|
+    assert (band.transpose(0, 2, 1)[~on] == 0).all()   # i + Q off rho
+    assert np.array_equal(idx[on], (i * (d + 1) + q)[on]) and (idx[~on] == d * d).all()
+    assert band.nbytes <= 1.1e6
+    assert tensor_keys(sys) == list(zip(K.tolist(), Q.tolist()))
+    T = tensor_stack(sys)
+    for n, (rank, order) in enumerate(zip(K, Q)):   # each operator holds its band, only that
+        rows = slice(max(0, -order), d - max(0, order))
+        assert np.array_equal(np.diagonal(T[n], order), band[twoI + order, rank, rows])
+        assert np.count_nonzero(T[n]) == np.count_nonzero(band[twoI + order, rank])
+        assert at[n] == (twoI + order) * d + rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(twoI=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_tensor_coefficients_round_trip_and_match_dense(twoI, seed, scale):
+    # rho -> c -> rho through the band and its inverse, and c against the dense contraction
+    sys = SpinSystem(twoI / 2)
+    rho = scale * (np.random.default_rng(seed).normal(size=(sys.d, sys.d, 2)) @ [1, 1j])
+    c = tensor_coefficients(sys, rho)
+    bound = 1e-14 * max(1.0, np.linalg.norm(rho))
+    assert np.abs(from_tensor_coefficients(sys, c) - rho).max() <= bound
+    dense = tensor_stack(sys).reshape(sys.d ** 2, -1).conj() @ rho.ravel()
+    assert np.abs(c - dense).max() <= bound
 
 
 def test_tensor_basis_dict_is_a_copy():

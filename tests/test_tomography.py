@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spincat.dynamics import NmrParams
-from spincat.spin_ops import (SpinSystem, angular_momentum, spherical_tensor_basis,
-                              tensor_coefficients, tensor_keys, tensor_stack)
+from spincat.spin_ops import (SpinSystem, angular_momentum, from_tensor_coefficients,
+                              spherical_tensor_basis, tensor_coefficients, tensor_keys,
+                              tensor_stack)
 from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
 from spincat.tomography import (FID_DWELL, FID_POINTS, SpectrumLines,
@@ -589,3 +590,13 @@ def test_measure_is_design_times_coefficients(twoI, mode, cycle_set, seed):
 def test_measurement_vector_length_check(design):
     with pytest.raises(ValueError):
         reconstruct(design, np.zeros(5), SYS)
+
+
+def test_coefficient_counts_must_match_the_spin(design):
+    # the inverse takes exactly d^2 coefficients, so a design for another spin is refused
+    # with both sizes named, not with a numpy shape error
+    with pytest.raises(ValueError, match="has 16 tensor coefficients, got 9"):
+        from_tensor_coefficients(SYS, np.zeros(9))
+    B = measure(SYS, np.eye(4) / 4, pulse_set(SYS), NMR)
+    with pytest.raises(ValueError, match="I=1 has 9 tensor coefficients, got 16"):
+        reconstruct(design, B, SpinSystem(1))
