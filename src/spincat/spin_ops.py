@@ -139,12 +139,18 @@ def tensor_keys(sys: SpinSystem):
 
 def tensor_coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
     """c_KQ = Tr(T_KQ^dag rho) in tensor_keys order, so that rho = sum_KQ c_KQ T_KQ: one batched
-    real product of the band with rho's diagonals, whose off-rho slots ("clip") meet band zeros."""
+    real product of the band with rho's diagonals."""
     band, idx, _, _, at = tensor_band(sys)
     if rho.shape != band.shape[1:]:
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    diagonals = rho.take(idx, mode="clip").astype(complex, copy=False)
-    return (band @ diagonals.view(float).reshape(*idx.shape, 2)).view(complex).ravel()[at]
+    return (band @ _diagonal_pairs(rho, idx)).view(complex).ravel()[at]
+
+
+def _diagonal_pairs(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """rho's diagonals at tensor_band's idx as real (re, im) pairs, shape idx.shape + (2,), for
+    real products with the band: off-rho slots ("clip") read rho's last entry, which meets
+    band zeros."""
+    return rho.take(idx, mode="clip").astype(complex, copy=False).view(float).reshape(*idx.shape, 2)
 
 
 def from_tensor_coefficients(sys: SpinSystem, c) -> np.ndarray:

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import SpinSystem, require_hermitian, tensor_band, tensor_coefficients, tensor_keys
+from .spin_ops import (SpinSystem, _diagonal_pairs, require_hermitian, tensor_band,
+                       tensor_coefficients, tensor_keys)
 
 MIN_GRID = 8
 
@@ -115,8 +116,7 @@ def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
     if rho.shape != (sys.d, sys.d):
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
     theta, wtheta, phi, G, idx, E = _grid_factors(round(2 * sys.I), n_theta, n_phi)
-    diagonals = np.append(rho.ravel(), 0j)[idx]   # real G acts on their (re, im) pairs
-    values = (G @ diagonals.view(float).reshape(*idx.shape, 2)).view(complex)[..., 0].T @ E
+    values = (G @ _diagonal_pairs(rho, idx)).view(complex)[..., 0].T @ E
     if np.abs(values.imag).max() > 1e-10 * max(1.0, np.abs(values).max()):
         raise ValueError("imaginary residue above 1e-10 max(1, |W|max): rho not Hermitian")
     return WignerGrid(theta, phi, values.real, wtheta)
