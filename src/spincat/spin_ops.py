@@ -6,6 +6,7 @@ built on top of these operators are stored divided by hbar, i.e. in
 angular-frequency units (rad/s).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,9 +148,7 @@ def tensor_coefficients(sys: SpinSystem, rho: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_pairs(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """rho's diagonals at tensor_band's idx as real (re, im) pairs, shape idx.shape + (2,), for
-    real products with the band: off-rho slots ("clip") read rho's last entry, which meets
-    band zeros."""
+    """rho's diagonals at tensor_band's idx as (re, im) pairs; off-rho slots ("clip") meet zeros."""
     return rho.take(idx, mode="clip").astype(complex, copy=False).view(float).reshape(*idx.shape, 2)
 
 
@@ -177,6 +176,31 @@ def reduced_wigner_d(L, theta: float) -> np.ndarray:
     if abs(2 * L - twoL) > 1e-12 or twoL < 0:
         raise ValueError(f"rank must be a non-negative half-integer, got {L}")
     return expm_hermitian(_angular_momentum_cached(twoL).Iy, theta).real
+
+
+def _wigner_d_rows(L: int, mu: int, theta) -> np.ndarray:
+    """d[K, L + Q, t] = d^K_{mu,Q}(theta_t) for mu in {0, -1}, K = 0..L, Q = -L..L, exactly 0 for
+    K < k = max(|mu|, |Q|).  Wigner's closed form seeds rank k, (-1)^max(0, mu - Q) times
+    sqrt(C(2k, k + mu) C(2k, k + Q)) cos^(2k - |Q - mu|) sin^|Q - mu| of theta/2, and the
+    three-term recurrence in K (Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 145 (2008)),
+    with r_J = sqrt((J^2 - mu^2)(J^2 - Q^2)) and its coefficients tabulated once, climbs on:
+      d^J = (2J-1) J/r_J (cos theta - mu Q/(J(J-1))) d^(J-1) - J r_(J-1)/((J-1) r_J) d^(J-2)."""
+    Q, x, half = np.arange(-L, L + 1), np.cos(theta), np.multiply(0.5, theta)
+    seed, dQ = np.maximum(-mu, abs(Q)), abs(Q - mu)
+    scale = [(-1) ** max(0, mu - q) * math.sqrt(math.comb(2 * k, k + mu) * math.comb(2 * k, k + q))
+             for k, q in zip(seed.tolist(), Q.tolist())]
+    d = np.zeros((L + 1, 2 * L + 1, len(x)))
+    d[seed, L + Q] = np.array(scale)[:, None] * (
+        np.cos(half) ** (2 * seed - dQ)[:, None] * np.sin(half) ** dQ[:, None])
+    J, Q3 = np.arange(L + 1)[:, None, None], Q[:, None]
+    r2 = (J * J - mu * mu) * (J * J - Q3 * Q3)     # r_J^2, at least 1 where rank J is reached
+    over = J[1:] / np.sqrt(np.maximum(r2[1:], 1))   # row J - 1 holds the step to rank J
+    a, b = (2 * J[1:] - 1) * over, -mu * Q3 / np.maximum(J[1:] * J[:-1], 1)
+    c = np.sqrt(np.maximum(r2[:-1], 0)) * over / np.maximum(J[:-1], 1)
+    for k in range(-mu, L):                         # rank k + 1 at the orders |Q| <= k
+        on = slice(L - k, L + k + 1)
+        d[k + 1, on] = a[k, on] * (x + b[k, on]) * d[k, on] - c[k, on] * d[k - 1, on]
+    return d
 
 
 def expm_hermitian(H: np.ndarray, t: float = 1.0) -> np.ndarray:

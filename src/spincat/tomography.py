@@ -29,15 +29,14 @@ delay, a sign (-1)^d for every line at every nu_Q, so no map depends on
 the NMR parameters.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, angular_momentum, from_tensor_coefficients, require_hermitian,
-                       tensor_band, tensor_coefficients, tensor_keys)
+from .spin_ops import (SpinSystem, _wigner_d_rows, angular_momentum, from_tensor_coefficients,
+                       require_hermitian, tensor_band, tensor_coefficients, tensor_keys)
 from .dynamics import NmrParams
 
 # Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
@@ -112,12 +111,8 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
     if abs(q) > twoI:
         raise ValueError(f"|q| must be <= {twoI}")
     N = 2 * twoI + 1
-    pulses = []
-    for k in range(N):
-        phi = 2 * np.pi * k / N
-        alpha = (-(q + 1) * phi) % (2 * np.pi)
-        pulses.append(TomographyPulse(theta, phi, alpha))
-    return pulses
+    return [TomographyPulse(theta, phi, (-(q + 1) * phi) % (2 * np.pi))
+            for phi in (2 * np.pi * k / N for k in range(N))]
 
 
 def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
@@ -129,11 +124,8 @@ def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
     vanish (e.g. rank 2, m = 0), so a second angle fills those in.
     """
     twoI = round(2 * sys.I)
-    cycles = [zero_order_cycle(sys)]
-    for theta in nutation_angles:
-        for q in range(-twoI, twoI + 1):
-            cycles.append(coherence_cycle(sys, q, theta))
-    return cycles
+    return [zero_order_cycle(sys)] + [coherence_cycle(sys, q, theta) for theta in nutation_angles
+                                      for q in range(-twoI, twoI + 1)]
 
 
 class _PulseSetKey(tuple):
@@ -141,24 +133,6 @@ class _PulseSetKey(tuple):
 
     def __hash__(self):
         return hash((len(self), self[:1], self[-1:]))
-
-
-def _rotation_rows(twoI: int, thetas: np.ndarray) -> np.ndarray:
-    """D[a, K, 2I + Q] = e^{-i pi (Q+1)/2} d^K_{-1,Q}(theta_a), zero for |Q| > K and K = 0:
-    Wigner's closed form at K = max(1, |Q|), then the three-term recurrence in K
-    (Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 145 (2008))."""
-    c, s, x = np.cos(thetas / 2), np.sin(thetas / 2), np.cos(thetas)
-    D = np.zeros((twoI + 2, 2 * twoI + 1, len(thetas)))   # row 2I + 1 is scratch
-    D[1, twoI] = np.sqrt(2) * c * s
-    for J in range(1, twoI + 1):
-        b, Q, on = math.sqrt(math.comb(2 * J, J - 1)), np.arange(-J, J + 1)[:, None], slice(
-            twoI - J, twoI + J + 1)
-        D[J, twoI + J] = b * c ** (J - 1) * s ** (J + 1)
-        D[J, twoI - J] = (-1) ** (J - 1) * b * c ** (J + 1) * s ** (J - 1)
-        D[J + 1, on] = ((2 * J + 1) * (J * (J + 1) * x + Q) * D[J, on] - (J + 1) * np.sqrt(
-            (J * J - Q * Q) * (J * J - 1.0)) * D[J - 1, on]) / (J * np.sqrt(
-                ((J + 1) ** 2 - Q * Q) * J * (J + 2.0)))
-    return D[:-1].transpose(2, 0, 1) * np.exp(-0.5j * np.pi * np.arange(1 - twoI, twoI + 2))
 
 
 def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
@@ -191,7 +165,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
         phase = np.exp(1j * (alpha[:, None] + np.outer(phi, 1 + orders)))
         for a, angle in enumerate(angles):
             s[a] = phase[theta == angle].sum(axis=0) / len(theta)
-    D = _rotation_rows(d - 1, np.array(angles))
+    D = _wigner_d_rows(d - 1, -1, np.array(angles)) * (-1j) ** (1 + orders)[:, None]  # [K, Q, a]
     n_rows = len(S) * (d - 1) + 1
     touch = np.abs(S).max(axis=1) > 1e-12            # (cycle, order) linked
     link = touch.T @ touch.astype(float) + np.eye(len(orders))
@@ -203,7 +177,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
     for lab in sorted(set(label.tolist()) - {-1}):
         cols = np.flatnonzero(label == lab)
         cyc, q = np.flatnonzero(touch[:, link[lab] > 0].any(axis=1)), Q[cols] + d - 1
-        C = (S[cyc][:, :, q] * D[:, K[cols], q]).sum(axis=1)
+        C = (S[cyc][:, :, q] * D[K[cols], q].T).sum(axis=1)
         blocks.append(((cyc[:, None] * (d - 1) + i[:-1]).ravel(), cols,
                        (gG[:, K[cols]] * C[:, None]).reshape(-1, len(cols))))
     blocks.sort(key=lambda b: b[2].shape[::-1])   # by columns, then rows: the widest last
@@ -236,15 +210,15 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
 
     "coherence" mode reads the single-quantum coherences directly; "fid" mode reads them at the
     start of acquisition, after the pre-acquisition delay 1/nu_Q.  Line j, at (nu_Q/2)(2m+1)
-    between m+1 and m, is sum_KQ gG[j, K] e^{i(alpha + phi(1 + Q))} D[K, Q](theta) c_KQ.
+    between m+1 and m, is sum_KQ gG[j, K] e^{i(alpha + (phi - pi/2)(1 + Q))} d^K_{-1,Q}(theta) c_KQ.
     """
     require_hermitian(rho, "density matrix")
     gG, (theta, phi, alpha) = _line_gains(sys, mode), pulse
     if not np.isfinite(pulse).all():
         raise ValueError("the pulse has a non-finite angle")
     (_, _, K, Q, _), twoI = tensor_band(sys), sys.d - 1
-    D = _rotation_rows(twoI, np.array([theta]))[0, K, twoI + Q]
-    c = np.exp(1j * (alpha + phi * (1 + Q))) * D * tensor_coefficients(sys, rho)
+    D = _wigner_d_rows(twoI, -1, np.array([theta]))[K, twoI + Q, 0]
+    c = np.exp(1j * (alpha + (phi - np.pi / 2) * (1 + Q))) * D * tensor_coefficients(sys, rho)
     return SpectrumLines(nmr.omega_Q / (4 * np.pi) * (2 * sys.m_values[1:] + 1), gG[:, K] @ c)
 
 
@@ -279,6 +253,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     noise_sigma is a fraction of the largest noise-free line over the whole set.  Every acquired
     spectrum carries complex Gaussian noise of that deviation per line, so a cycle of N pulses
     carries noise_sigma / sqrt(N): one default_rng(seed) draw per cycle line, in cycle order.
+    No map depends on nmr (module docstring); it is kept for callers that pass it by position.
     """
     require_hermitian(rho, "density matrix")
     if not noise_sigma >= 0:
@@ -298,7 +273,7 @@ def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
     """Factor the pulse set's map block by block: one SVD per padded stack gives, over each
     block's own width, the rank and the conditioning of the whole map and the block
-    pseudo-inverses."""
+    pseudo-inverses.  nmr is not read, as in `measure`."""
     cycles = _PulseSetKey(map(tuple, cycles))
     blocks, stacks = _closed_form(sys, cycles, mode)
     keys = tensor_keys(sys)
@@ -343,7 +318,7 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
 def run_tomography(sys: SpinSystem, rho: np.ndarray, nmr: NmrParams,
                    mode: str = "coherence", noise_sigma: float = 0.0, seed=None,
                    design: DesignSystem | None = None, cycles=None):
-    """Convenience pipeline: synthesize, stack, reconstruct."""
+    """Convenience pipeline: synthesize, stack, reconstruct; nmr is not read, as in `measure`."""
     if cycles is None:
         cycles = pulse_set(sys)
     if design is None:

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, _diagonal_pairs, require_hermitian, tensor_band,
-                       tensor_coefficients, tensor_keys)
+from .spin_ops import (SpinSystem, _diagonal_pairs, _wigner_d_rows, require_hermitian,
+                       tensor_band, tensor_coefficients, tensor_keys)
 
 MIN_GRID = 8
 
@@ -37,18 +37,12 @@ def spherical_harmonic(K: int, Q: int, theta, phi):
 
 
 def _polar_harmonics(K: np.ndarray, Q: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Y_KQ(theta, 0) for integer arrays K, Q: the normalized associated-Legendre recurrence
-    (Holmes & Featherstone, J. Geodesy 76, 279 (2002)), and Y_K,-Q = (-1)^Q Y_KQ."""
-    L, x, s = K.max(), np.cos(theta), np.sin(theta)
-    P = np.zeros((L + 2, L + 1, len(theta)))   # P[k, q] = Y_kq; row L + 1 stays 0
-    P[0, 0] = 1 / np.sqrt(4 * np.pi)
-    for k in range(1, L + 1):
-        q2 = np.arange(k)[:, None] ** 2
-        a = np.sqrt((4 * k * k - 1) / (k * k - q2))
-        b = np.sqrt(((k - 1) ** 2 - q2) / (4 * (k - 1) ** 2 - 1))
-        P[k, :k] = a * (x * P[k - 1, :k] - b * P[k - 2, :k])
-        P[k, k] = -np.sqrt((2 * k + 1) / (2 * k)) * s * P[k - 1, k - 1]
-    return P[K, np.abs(Q)] * (-1.0) ** np.minimum(Q, 0)[:, None]
+    """Y_KQ(theta, 0) = sqrt((2K+1)/4pi) d^K_{Q,0}(theta) = sqrt((2K+1)/4pi) (-1)^Q d^K_{0,Q}(theta)
+    for integer arrays K, Q, with the Condon-Shortley phase: spin_ops' rotation rows, normalized."""
+    L = int(K.max())
+    Y = _wigner_d_rows(L, 0, theta)[K, L + Q]
+    Y *= (np.sqrt((2 * K + 1) / (4 * np.pi)) * (-1.0) ** Q)[..., None]
+    return Y
 
 
 @dataclass(frozen=True)

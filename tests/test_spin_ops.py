@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spincat.dynamics import NmrParams, nmr_hamiltonian
-from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, angular_momentum, expm_hermitian,
-                              from_tensor_coefficients, reduced_wigner_d, require_hermitian,
-                              rotation_operator, spherical_tensor, spherical_tensor_basis,
-                              tensor_band, tensor_coefficients, tensor_keys, tensor_stack)
+from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, _wigner_d_rows, angular_momentum,
+                              expm_hermitian, from_tensor_coefficients, reduced_wigner_d,
+                              require_hermitian, rotation_operator, spherical_tensor,
+                              spherical_tensor_basis, tensor_band, tensor_coefficients,
+                              tensor_keys, tensor_stack)
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0]
 
@@ -197,6 +198,27 @@ def test_reduced_wigner_matches_expm(I):
     beta = 1.234
     want = scipy.linalg.expm(-1j * beta * ops.Iy)
     assert np.abs(reduced_wigner_d(I, beta) - want).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0, 2 * np.pi))
+@example(0.0)
+@example(np.pi)
+@example(2 * np.pi)
+def test_wigner_d_rows_match_expm(theta):
+    # the one recurrence behind tomography's rotation rows and the Wigner map's harmonics, at
+    # every rank up to the spin cap's 2I = 40, against exp(-i theta Iy); synthesize_spectrum
+    # takes theta up to 2 pi
+    L = 40
+    refs = [reduced_wigner_d(k, theta) for k in range(L + 1)]
+    K, Q = np.arange(L + 1)[:, None], np.arange(-L, L + 1)
+    for mu in (0, -1):
+        d = _wigner_d_rows(L, mu, np.array([theta]))[..., 0]
+        want = np.zeros_like(d)
+        for k in range(-mu, L + 1):
+            want[k, L - k:L + k + 1] = refs[k][k - mu, ::-1]   # d^k_{mu,Q}, Q = -k..k
+        assert np.abs(d - want).max() <= 1e-13
+        assert np.all(d[K < np.maximum(-mu, abs(Q))] == 0)
 
 
 @pytest.mark.parametrize("I", [1.0, 1.5, 2.0])
