@@ -83,22 +83,22 @@ def tensor_band(sys: SpinSystem) -> tuple:
     """Read-only (band, idx, K, Q, at) of the orthonormal tensor operators T_KQ, each on rho's
     Q-th diagonal: band[2I + Q, K, i] = (T_KQ)_{i,i+Q}, real, 0 where K < |Q| or i + Q falls
     off rho; idx[2I + Q, i] = the flat index of rho[i, i+Q], or d^2 off rho; K, Q label
-    coefficient vectors, T_KQ at K^2 + K + Q; at = (2I + Q) d + K.  On its diagonal T_KQ is the
-    eigenvector, ascending in K = |Q|..2I, of the Casimir sum_a [I_a, [I_a, t]] = K(K+1) t, a
-    symmetric tridiagonal (diagonal 2I(I+1) - 2 m_i m_j, off-diagonal -a_i a_j, a = I+'s
-    superdiagonal), signed so that its first entry has the sign (-1)^max(Q, 0), as (-I+)^K."""
+    coefficient vectors, T_KQ at K^2 + K + Q; at = (2I + Q) d + K.  The operators obey
+    {I_z, T_KQ} = alpha_(K+1) T_(K+1)Q + alpha_K T_(K-1)Q, alpha_K = sqrt((K^2 - Q^2)(d^2 - K^2)
+    / ((2K-1)(2K+1))), so on order Q the entries (T_KQ)_{i,i+Q}, K = |Q|..2I, are the
+    eigenvectors of the Jacobi matrix with zero diagonal and off-diagonal alpha_(|Q|+1..2I); its
+    eigenvalues m_i + m_(i+Q) = 2 m_i - Q, norm <= 2I and gaps 2, descend in i.  Orders +-Q share
+    the matrix: each eigenvector is signed so that T_|Q|,-|Q| ~ (I-)^|Q| is positive, and
+    T_K|Q| = (-1)^Q T_K,-|Q|^dag.  (Run forward in K without eigh the recurrence is unstable:
+    6e-6 off by 2I = 40.)"""
     twoI, d, i = sys.d - 1, sys.d, np.arange(sys.d)
-    I, ms = twoI / 2, twoI / 2 - i
-    a = np.diagonal(angular_momentum(sys).Iplus, 1).real
     band = np.zeros((2 * twoI + 1, d, d))
-    for Q in range(-twoI, twoI + 1):
-        rows = np.arange(max(0, -Q), d - max(0, Q))
-        cols = rows + Q
-        off = -a[rows[:-1]] * a[cols[:-1]]
-        diag = 2 * I * (I + 1) - 2 * ms[rows] * ms[cols]
-        _, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        V *= (-1) ** max(Q, 0) * np.sign(V[0])
-        band[twoI + Q][abs(Q):, rows] = V.T
+    for q in range(d):
+        k = np.arange(q + 1, d)
+        alpha = np.sqrt((k * k - q * q) * (d * d - k * k) / ((2 * k - 1) * (2 * k + 1)))
+        _, V = np.linalg.eigh(np.diag(alpha, -1))     # eigh reads the lower triangle only
+        band[twoI - q, q:, q:] = V[:, ::-1] * np.sign(V[0, ::-1])
+        band[twoI + q, q:, :d - q] = (-1) ** q * band[twoI - q, q:, q:]
     orders = np.arange(-twoI, twoI + 1)[:, None]
     idx = np.where((0 <= i + orders) & (i + orders < d), i * (d + 1) + orders, d * d)
     K = np.repeat(i, 2 * i + 1)

@@ -9,8 +9,6 @@ from .spin_ops import SpinSystem, angular_momentum, require_hermitian
 # High-temperature polarization factor of the sodium-23 preset.
 NA23_EPSILON = 0.426e-5
 
-NORM_TOL = 1e-12
-
 
 def coherent_state(sys: SpinSystem, vartheta: float, varphi: float) -> np.ndarray:
     """Maximal-polarization spin coherent state |zeta(vartheta, varphi)>.

@@ -231,8 +231,8 @@ def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
 
 def add_line_noise(lines: SpectrumLines, sigma: float, seed) -> SpectrumLines:
     """Seeded complex Gaussian perturbation of the line amplitudes."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0:
         return lines
     noise = _complex_noise(np.random.default_rng(seed), sigma, lines.amplitudes.shape)

@@ -1,5 +1,9 @@
 """Operator algebra: commutators, tensor basis, rotations."""
 
+import decimal
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -63,8 +67,8 @@ def test_tensor_orthonormality(I):
 
 @pytest.mark.parametrize("I", [1.5, 3.5, 7.5, 12.0, 20.0])
 def test_tensor_stack_accuracy(I):
-    # the Gram matrix stays at round-off, while T_00 drifts from identity/sqrt(d)
-    # with the Casimir's norm (2.4e-14 at I = 12); pin both below their bounds
+    # the Gram matrix and T_00 = identity/sqrt(d) through the dense stack; the band's own,
+    # tighter bounds are in test_tensor_band_closed_forms
     sys = SpinSystem(I)
     T = tensor_stack(sys)
     vecs = T.reshape(sys.d ** 2, -1)
@@ -110,6 +114,17 @@ def test_tensor_casimir_and_ladder_relations(I):
     lowered = np.sqrt(K * (K + 1) - Q * (Q - 1))[:, None, None] * np.roll(T, 1, axis=0)
     err = np.abs(comm(ops.Iminus, T) - lowered).max(axis=(1, 2))
     assert (err <= bound).all()
+    # {I_z, T_KQ} = alpha_(K+1) T_(K+1)Q + alpha_K T_(K-1)Q, the recurrence tensor_band solves;
+    # an alpha that vanishes (K = |Q| or K + 1 = d) multiplies a clipped stand-in
+    def alpha(k):
+        return np.sqrt((k * k - Q * Q) * (sys.d ** 2 - k * k) / (4 * k * k - 1))
+
+    def rank(k):
+        return T.take(k * k + k + Q, axis=0, mode="clip")
+
+    anti = ops.Iz @ T + T @ ops.Iz
+    step = alpha(K + 1)[:, None, None] * rank(K + 1) + alpha(K)[:, None, None] * rank(K - 1)
+    assert np.abs(anti - step).max() <= 1e-13
 
 
 @pytest.mark.parametrize("I", [0.5, 1.5, 3.5, 7.5, 20.0])
@@ -134,6 +149,51 @@ def test_tensor_band_layout(I):
         assert np.array_equal(np.diagonal(T[n], order), band[twoI + order, rank, rows])
         assert np.count_nonzero(T[n]) == np.count_nonzero(band[twoI + order, rank])
         assert at[n] == (twoI + order) * d + rank
+
+
+def _band_by_decimal_recurrence(twoI):
+    """band[2I + Q, K, i] run forward in K from T_|Q|Q ~ (-I+)^Q or (I-)^|Q| in 60-digit decimal:
+    T_(K+1)Q = ((2 m_i - Q) T_KQ - alpha_K T_(K-1)Q) / alpha_(K+1), all inputs exact rationals.
+    The recurrence is unstable forward (6e-6 off at 2I = 40 in double), not at 60 digits."""
+    d = twoI + 1
+    band = np.zeros((2 * twoI + 1, d, d))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+
+        def alpha(k, q):
+            return (Decimal((k * k - q * q) * (d * d - k * k)) / (4 * k * k - 1)).sqrt()
+
+        for q in range(-twoI, twoI + 1):
+            twice_m = [twoI - 2 * i for i in range(max(0, -q), d - max(0, q))]
+            # 4^|Q| (I+)^|Q| squared along the diagonal: products of (I - m)(I + m + 1), m climbing
+            # from the pair's lower m
+            sq = [math.prod((twoI - low - 2 * s) * (twoI + low + 2 * s + 2) for s in range(abs(q)))
+                  for low in (min(tm, tm - 2 * q) for tm in twice_m)]
+            sign = (-1) ** max(q, 0)
+            prev, cur = [Decimal(0)] * len(sq), [sign * (Decimal(v) / sum(sq)).sqrt() for v in sq]
+            for k in range(abs(q), d):
+                band[twoI + q, k, max(0, -q):d - max(0, q)] = [float(v) for v in cur]
+                if k + 1 < d:
+                    a_k, a_up = alpha(k, q), alpha(k + 1, q)
+                    prev, cur = cur, [((tm - q) * v - a_k * p) / a_up
+                                      for tm, v, p in zip(twice_m, cur, prev)]
+    return band
+
+
+@pytest.mark.parametrize("twoI", [3, 7, 15, 24, 40])
+def test_tensor_band_matches_decimal_recurrence(twoI):
+    # the Jacobi-matrix eigenvectors against the exact-arithmetic forward run, entry by entry
+    band = tensor_band(SpinSystem(twoI / 2))[0]
+    assert np.abs(band - _band_by_decimal_recurrence(twoI)).max() <= 5e-15
+
+
+def test_tensor_band_closed_forms():
+    # from the band alone, for every 2I <= 40: T_00 = 1/sqrt(d) and Tr T_KQ = 0 for K > 0 (only
+    # Q = 0 has a trace)
+    for twoI in range(1, 41):
+        band = tensor_band(SpinSystem(twoI / 2))[0]
+        assert np.abs(band[twoI, 0] - 1 / np.sqrt(twoI + 1)).max() <= 3e-15
+        assert np.abs(band[twoI, 1:].sum(axis=1)).max() <= 2e-14
 
 
 @settings(max_examples=60, deadline=None)

@@ -522,8 +522,9 @@ def test_add_line_noise_contracts():
     n2 = add_line_noise(lines, 0.1, seed=42)
     assert np.allclose(n1.amplitudes, n2.amplitudes)
     assert not np.allclose(n1.amplitudes, lines.amplitudes)
-    with pytest.raises(ValueError):
-        add_line_noise(lines, -0.1, seed=0)
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            add_line_noise(lines, sigma, seed=0)
 
 
 def test_jitter_bound():
