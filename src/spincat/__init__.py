@@ -4,66 +4,3 @@ quasiprobability maps, simulated tomography, and strongly modulating
 pulse design."""
 
 __version__ = "0.1.0"
-
-from .spin_ops import (
-    SpinSystem,
-    SpinOperators,
-    angular_momentum,
-    spherical_tensor,
-    spherical_tensor_basis,
-    tensor_keys,
-    reduced_wigner_d,
-    rotation_operator,
-    expm_hermitian,
-)
-from .states import (
-    NA23_EPSILON,
-    coherent_state,
-    cat_state,
-    cat_phase_prefactor,
-    projector,
-    bloch_vector,
-    traceless_part,
-    equilibrium_deviation,
-    thermal_density,
-    fidelity,
-)
-from .dynamics import (
-    NmrParams,
-    QuadrupolarParams,
-    nmr_hamiltonian,
-    effective_hamiltonian,
-    atom_field_hamiltonian,
-    quadrupolar_hamiltonian,
-    evolve,
-    cat_time,
-    free_evolution_schedule,
-)
-from .wigner import (
-    WignerGrid,
-    wigner_function,
-    wigner_point,
-    integrate_sphere,
-    grid_argmax,
-    tensor_expectations,
-)
-from .tomography import (
-    TomographyPulse,
-    zero_order_cycle,
-    coherence_cycle,
-    pulse_set,
-    synthesize_spectrum,
-    build_design_matrix,
-    reconstruct,
-    run_tomography,
-)
-from .smp import (
-    PulseSegment,
-    PulseSequence,
-    SmpResult,
-    delay,
-    simulate_sequence,
-    sequence_propagator,
-    temporal_average,
-    optimize_smp,
-)

@@ -32,10 +32,10 @@ class PulseSegment:
     duration: float    # s
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("segment amplitude must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
+        if not 0 <= self.omega < np.inf:
+            raise ValueError(f"segment omega must be finite and non-negative, got {self.omega}")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"segment duration must be finite and positive, got {self.duration}")
 
 
 def delay(duration: float) -> PulseSegment:
@@ -205,8 +205,10 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
 
     if n_segments < 1 or n_variants < 1:
         raise ValueError("need at least one segment and one variant")
-    if amplitude_cap <= 0:
-        raise ValueError("amplitude cap leaves no rotation capability")
+    if not 0 < amplitude_cap < np.inf:
+        raise ValueError(f"amplitude_cap must be finite and positive, got {amplitude_cap}")
+    if not 0 < delta_t < np.inf:
+        raise ValueError(f"delta_t must be finite and positive, got {delta_t}")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     ops, H_static, rho0, target = _problem(sys, nmr, target_state, rho0)

@@ -93,8 +93,8 @@ def thermal_density(sys: SpinSystem, epsilon: float = NA23_EPSILON, deviation=No
     form; pass a coherent-state projector for a prepared effective pure
     state).  Returns (rho, deviation).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if deviation is None:
         deviation = equilibrium_deviation(sys)
     deviation = np.asarray(deviation, dtype=complex)

@@ -231,8 +231,8 @@ def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
 
 def add_line_noise(lines: SpectrumLines, sigma: float, seed) -> SpectrumLines:
     """Seeded complex Gaussian perturbation of the line amplitudes."""
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma == 0:
         return lines
     noise = _complex_noise(np.random.default_rng(seed), sigma, lines.amplitudes.shape)
@@ -256,8 +256,8 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     No map depends on nmr (module docstring); it is kept for callers that pass it by position.
     """
     require_hermitian(rho, "density matrix")
-    if not noise_sigma >= 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     cycles = _PulseSetKey(map(tuple, cycles))
     _, stacks = _closed_form(sys, cycles, mode)
     B = _apply(stacks, tensor_coefficients(sys, rho), len(cycles) * (sys.d - 1) + 1)

@@ -361,13 +361,15 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, source):
 
 def test_cli_import_leaves_out_optimizer():
     # only optimize_smp needs scipy.optimize, and importing it costs a
-    # third of the CLI's start-up
+    # third of the CLI's start-up; the package itself imports no module,
+    # so spincat.smp is not compiled either
     src = str(Path(spincat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, spincat.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, spincat.cli; "
+            "print('scipy.optimize' in sys.modules, 'spincat.smp' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False"]
+    assert out.split() == ["False", "False"]
 
 
 def test_cli_run_leaves_out_numpy_polynomial(tmp_path):

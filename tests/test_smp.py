@@ -25,6 +25,10 @@ def test_segment_validation():
         PulseSegment(-1.0, 0.0, 1e-6)
     with pytest.raises(ValueError):
         PulseSegment(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="omega"):
+        PulseSegment(float("nan"), 0.0, 1e-6)
+    with pytest.raises(ValueError, match="duration"):
+        PulseSegment(1.0, 0.0, float("nan"))
 
 
 def test_empty_sequence_is_identity():
@@ -322,3 +326,9 @@ def test_optimizer_input_validation():
                      amplitude_cap=0.0)
     with pytest.raises(ValueError):
         optimize_smp(SYS, NMR, target, n_segments=5, delta_t=1e-6, budget=-1)
+    with pytest.raises(ValueError, match="amplitude_cap"):
+        optimize_smp(SYS, NMR, target, n_segments=5, delta_t=1e-6,
+                     amplitude_cap=float("nan"))
+    for delta_t in (float("nan"), -1e-6, 0.0):
+        with pytest.raises(ValueError, match="delta_t"):
+            optimize_smp(SYS, NMR, target, n_segments=5, delta_t=delta_t)

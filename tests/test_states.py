@@ -120,8 +120,9 @@ def test_thermal_density_with_projector():
 
 def test_thermal_density_rejects_bad_inputs():
     sys = SpinSystem(1.5)
-    with pytest.raises(ValueError):
-        thermal_density(sys, epsilon=0.0)
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            thermal_density(sys, epsilon=epsilon)
     with pytest.raises(ValueError):
         thermal_density(sys, deviation=np.eye(4))  # trace 4, not 1
 

@@ -522,7 +522,7 @@ def test_add_line_noise_contracts():
     n2 = add_line_noise(lines, 0.1, seed=42)
     assert np.allclose(n1.amplitudes, n2.amplitudes)
     assert not np.allclose(n1.amplitudes, lines.amplitudes)
-    for sigma in (-0.1, float("nan")):
+    for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             add_line_noise(lines, sigma, seed=0)
 
@@ -560,7 +560,7 @@ def test_wrong_sized_density_matrix_is_refused(d):
             call()
 
 
-@pytest.mark.parametrize("sigma", [-0.5, float("nan")])
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
 def test_measure_refuses_negative_or_nan_noise(sigma):
     with pytest.raises(ValueError, match="noise_sigma"):
         measure(SYS, np.eye(4) / 4, pulse_set(SYS), NMR, noise_sigma=sigma, seed=0)
