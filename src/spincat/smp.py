@@ -48,10 +48,6 @@ class PulseSequence:
     segments: list
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
     def to_json(self) -> str:
         """Spectrometer-style interchange format: amplitudes in Hz, phases
         in degrees, durations in microseconds."""
@@ -149,15 +145,13 @@ def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants,
     return -F, -np.stack([amp, phase], axis=-1).ravel() / n_variants
 
 
-def _problem(sys, nmr, target_state, rho0):
+def _problem(sys, nmr, target_state):
     """(ops, H_static, rho0, target): H_static leaves out the RF term, so it is
-    diagonal and commutes with Iz, as the propagators' phase rule needs; rho0
-    defaults to the Iz deviation, target is the target state's deviation."""
+    diagonal and commutes with Iz, as the propagators' phase rule needs; rho0 is
+    the Iz deviation, target is the target state's deviation."""
     ops = angular_momentum(sys)
     H_static = nmr_hamiltonian(sys, NmrParams(nmr.omega_L, nmr.omega_RF, nmr.omega_Q))
-    if rho0 is None:
-        rho0 = ops.Iz.copy()
-    return ops, H_static, rho0, traceless_part(projector(target_state))
+    return ops, H_static, ops.Iz, traceless_part(projector(target_state))
 
 
 class _BudgetSpent(Exception):
@@ -177,11 +171,10 @@ class SmpResult:
         return self.variants[0]
 
 
-def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg,
-                       rho0=None):
+def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg):
     """The objective and gradient optimize_smp minimises, exposed for
     finite-difference checks; x carries the RF, so nmr's RF term is ignored."""
-    ops, H_static, rho0, target = _problem(sys, nmr, target_state, rho0)
+    ops, H_static, rho0, target = _problem(sys, nmr, target_state)
     return _objective_and_gradient(np.asarray(x, float), sys, H_static, ops,
                                    delta_t, rho0, target, n_variants, n_seg)
 
@@ -189,8 +182,7 @@ def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg,
 def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
                  n_segments: int, delta_t: float, budget: int = 40000,
                  n_variants: int = 4, n_starts: int = 3, seed: int = 0,
-                 amplitude_cap: float = DEFAULT_AMPLITUDE_CAP,
-                 rho0: np.ndarray | None = None) -> SmpResult:
+                 amplitude_cap: float = DEFAULT_AMPLITUDE_CAP) -> SmpResult:
     """Design n_variants modulations of n_segments slices of length delta_t
     that carry the equilibrium Iz deviation into the target state's
     deviation under temporal averaging.
@@ -209,9 +201,9 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         raise ValueError(f"amplitude_cap must be finite and positive, got {amplitude_cap}")
     if not 0 < delta_t < np.inf:
         raise ValueError(f"delta_t must be finite and positive, got {delta_t}")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    ops, H_static, rho0, target = _problem(sys, nmr, target_state, rho0)
+    if not (0 <= budget < np.inf and budget == round(budget)):
+        raise ValueError(f"budget must be a non-negative integer, got {budget}")
+    ops, H_static, rho0, target = _problem(sys, nmr, target_state)
     rng = np.random.default_rng(seed)
     shape = (n_variants, n_segments)
 

@@ -36,14 +36,10 @@ class SpinSystem:
         return self.I - np.arange(self.d)
 
 
-def is_hermitian(M, tol=HERMITICITY_TOL):
-    """|M - M^dag|max <= tol max(1, |M|max): relative, as a Hamiltonian in rad/s
-    carries round-off in proportion to its size."""
-    return np.abs(M - M.conj().T).max() <= tol * max(1.0, np.abs(M).max())
-
-
 def require_hermitian(M, what="operator"):
-    if not is_hermitian(M):
+    """Refuse M unless |M - M^dag|max <= HERMITICITY_TOL max(1, |M|max): relative, as a
+    Hamiltonian in rad/s carries round-off in proportion to its size."""
+    if not np.abs(M - M.conj().T).max() <= HERMITICITY_TOL * max(1.0, np.abs(M).max()):
         raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL:g} of max(1, |M|max)")
 
 
@@ -203,7 +199,7 @@ def _wigner_d_rows(L: int, mu: int, theta) -> np.ndarray:
     return d
 
 
-def expm_hermitian(H: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm_hermitian(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition (exactly unitary)."""
     require_hermitian(H, "generator")
     lam, V = np.linalg.eigh(H)

@@ -239,11 +239,11 @@ def add_line_noise(lines: SpectrumLines, sigma: float, seed) -> SpectrumLines:
     return replace(lines, amplitudes=lines.amplitudes + noise)
 
 
-def jitter_nmr_params(nmr: NmrParams, seed, bound_hz: float = NUQ_JITTER_HZ) -> NmrParams:
-    """Quadrupolar-coupling jitter: nu_Q perturbed uniformly within +-70 Hz,
+def jitter_nmr_params(nmr: NmrParams, seed) -> NmrParams:
+    """Quadrupolar-coupling jitter: nu_Q perturbed uniformly within +-NUQ_JITTER_HZ,
     modelling temperature-induced line broadening."""
-    rng = np.random.default_rng(seed)
-    return replace(nmr, omega_Q=nmr.omega_Q + 2 * np.pi * rng.uniform(-bound_hz, bound_hz))
+    jitter_hz = np.random.default_rng(seed).uniform(-NUQ_JITTER_HZ, NUQ_JITTER_HZ)
+    return replace(nmr, omega_Q=nmr.omega_Q + 2 * np.pi * jitter_hz)
 
 
 def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
@@ -271,29 +271,29 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
-    """Factor the pulse set's map block by block: one SVD per padded stack gives, over each
-    block's own width, the rank and the conditioning of the whole map and the block
-    pseudo-inverses.  nmr is not read, as in `measure`."""
+    """Factor the pulse set's map block by block: one SVD per padded stack gives the rank
+    (sigma > SVD_CUTOFF sigma_max), the conditioning of the whole map and the block
+    pseudo-inverses.  Zero padding adds singular values of order 1e-16 sigma_max, far
+    below the cutoff.  nmr is not read, as in `measure`."""
     cycles = _PulseSetKey(map(tuple, cycles))
     blocks, stacks = _closed_form(sys, cycles, mode)
     keys = tensor_keys(sys)
     runs = [np.linalg.svd(M, full_matrices=False) for M, _, _ in stacks]
-    own = [np.arange(s.shape[1]) < (cols < len(keys)).sum(axis=1, keepdims=True)
-           for (_, _, cols), (_, s, _) in zip(stacks, runs)]   # zero past each block's width
-    svals = np.concatenate([s[w] for (_, s, _), w in zip(runs, own)])
-    kept = np.concatenate([(s * w > SVD_CUTOFF * svals.max()).sum(axis=1)
-                           for (_, s, _), w in zip(runs, own)])
+    top = max(s.max() for _, s, _ in runs)
+    keep = [s > SVD_CUTOFF * top for _, s, _ in runs]
+    kept = np.concatenate([k.sum(axis=1) for k in keep])
     if kept.sum() < len(keys):
         weak = np.zeros(len(keys), dtype=bool)
         for (_, cols, M), r in zip(blocks, kept):
             weak[cols] |= (np.abs(np.linalg.svd(M)[2][r:]) > 1e-6).any(axis=0)
         raise TomographyRankError(int(kept.sum()), len(keys), [k for k, w in zip(keys, weak) if w])
     solve = []
-    for (U, s, Vh), w, (_, rows, cols) in zip(runs, own, stacks):
-        inv = np.divide(1, s, out=np.zeros_like(s), where=w)
+    for (U, s, Vh), k, (_, rows, cols) in zip(runs, keep, stacks):
+        inv = np.divide(1, s, out=np.zeros_like(s), where=k)
         solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
                       cols, rows))
-    return DesignSystem(keys, float(svals.max() / svals.min()), len(keys),
+    low = min(s[k].min() for (_, s, _), k in zip(runs, keep))
+    return DesignSystem(keys, float(top / low), len(keys),
                         len(cycles) * (sys.d - 1) + 1, tuple(solve), blocks)
 
 
@@ -316,13 +316,10 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
 
 
 def run_tomography(sys: SpinSystem, rho: np.ndarray, nmr: NmrParams,
-                   mode: str = "coherence", noise_sigma: float = 0.0, seed=None,
-                   design: DesignSystem | None = None, cycles=None):
+                   mode: str = "coherence", noise_sigma: float = 0.0, seed=None):
     """Convenience pipeline: synthesize, stack, reconstruct; nmr is not read, as in `measure`."""
-    if cycles is None:
-        cycles = pulse_set(sys)
-    if design is None:
-        design = build_design_matrix(sys, cycles, nmr, mode)
+    cycles = pulse_set(sys)
+    design = build_design_matrix(sys, cycles, nmr, mode)
     B = measure(sys, rho, cycles, nmr, mode, noise_sigma=noise_sigma, seed=seed)
     return reconstruct(design, B, sys)
 

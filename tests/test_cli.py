@@ -335,6 +335,29 @@ def test_cli_run_invalid_config_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _half_pi_pulse_set(sys):
+    # a pi/2 pulse is blind to T_20, so this set leaves the design one rank short
+    return tomography.pulse_set(sys, nutation_angles=(np.pi / 2,))
+
+
+def _svd_fails(*args):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("name, stand_in, message", [
+    ("pulse_set", _half_pi_pulse_set,
+     "tomography error: design matrix rank 15 < 16; weakly determined components: [(2, 0)]"),
+    ("build_design_matrix", _svd_fails,
+     "numerical error during experiment run: SVD did not converge"),
+], ids=["short-rank", "linalg-error"])
+def test_cli_run_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, name, stand_in,
+                                             message):
+    monkeypatch.setattr(f"spincat.cli.{name}", stand_in)
+    p = write_config(tmp_path, GOOD)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_cli_seed_override(tmp_path):
     cfg = {**GOOD, "checkpoints": [1], "n_theta": 16, "n_phi": 16,
            "noise_sigma": 0.05, "seed": 1}

@@ -315,7 +315,7 @@ def test_json_roundtrip():
     assert back.metadata == seq.metadata
 
 
-def test_optimizer_input_validation():
+def test_optimizer_input_validation(monkeypatch):
     target = coherent_state(SYS, np.pi / 2, 0.0)
     with pytest.raises(ValueError):
         optimize_smp(SYS, NMR, target, n_segments=0, delta_t=1e-6)
@@ -332,3 +332,8 @@ def test_optimizer_input_validation():
     for delta_t in (float("nan"), -1e-6, 0.0):
         with pytest.raises(ValueError, match="delta_t"):
             optimize_smp(SYS, NMR, target, n_segments=5, delta_t=delta_t)
+    # a fractional or non-finite budget is refused before the first evaluation
+    monkeypatch.setattr(spincat.smp, "_objective_and_gradient", None)
+    for budget in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget"):
+            optimize_smp(SYS, NMR, target, n_segments=3, delta_t=1e-6, budget=budget)
