@@ -29,16 +29,6 @@ class NmrParams:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class QuadrupolarParams:
-    omega_Q: float
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.eta <= 1:
-            raise ValueError("asymmetry parameter must lie in [0, 1]")
-
-
 def nmr_hamiltonian(sys: SpinSystem, params: NmrParams) -> np.ndarray:
     """-(wL-wRF) Iz + (wQ/6)(3 Iz^2 - I^2) + w1 (Ix cos v + Iy sin v)."""
     ops = angular_momentum(sys)
@@ -65,13 +55,6 @@ def atom_field_hamiltonian(sys: SpinSystem, kappa: float, nbar: float) -> np.nda
         raise ValueError("mean photon number must be non-negative")
     ops = angular_momentum(sys)
     return kappa * ((2 * nbar + 1) * ops.Iz - ops.Iz @ ops.Iz + ops.Isq)
-
-
-def quadrupolar_hamiltonian(sys: SpinSystem, params: QuadrupolarParams) -> np.ndarray:
-    """(wQ/6)[(3 Iz^2 - I^2) + eta (Ix^2 - Iy^2)]."""
-    ops = angular_momentum(sys)
-    return params.omega_Q / 6 * ((3 * ops.Iz @ ops.Iz - ops.Isq)
-                                 + params.eta * (ops.Ix @ ops.Ix - ops.Iy @ ops.Iy))
 
 
 def evolve(state_or_rho: np.ndarray, H: np.ndarray, t: float) -> np.ndarray:

@@ -195,8 +195,10 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
     """
     from scipy.optimize import minimize
 
-    if n_segments < 1 or n_variants < 1:
-        raise ValueError("need at least one segment and one variant")
+    for name, value in (("n_segments", n_segments), ("n_variants", n_variants),
+                        ("n_starts", n_starts)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not 0 < amplitude_cap < np.inf:
         raise ValueError(f"amplitude_cap must be finite and positive, got {amplitude_cap}")
     if not 0 < delta_t < np.inf:
@@ -231,7 +233,7 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         best_f = _objective_and_gradient(best_x, *args)[0]
     else:
         bounds = [(0.0, amplitude_cap), (None, None)] * (n_variants * n_segments)
-        for _ in range(max(1, n_starts)):
+        for _ in range(n_starts):
             if len(history) == budget:
                 break
             first, steps = len(history), []

@@ -122,12 +122,6 @@ def spherical_tensor_basis(sys: SpinSystem) -> dict:
     return dict(zip(tensor_keys(sys), tensor_stack(sys)))
 
 
-def spherical_tensor(sys: SpinSystem, K: int, Q: int) -> np.ndarray:
-    if not (0 <= K < sys.d) or not (-K <= Q <= K):
-        raise ValueError(f"rank/order ({K},{Q}) out of range for I={sys.I}")
-    return tensor_stack(sys)[K * K + K + Q]
-
-
 def tensor_keys(sys: SpinSystem):
     """Fixed (K, Q) ordering used for coefficient vectors."""
     _, _, K, Q, _ = tensor_band(sys)

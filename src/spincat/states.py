@@ -1,10 +1,10 @@
-"""Coherent states, cat-state superpositions, thermal matrices and fidelity."""
+"""Coherent states, cat-state superpositions and fidelity."""
 
 from math import comb
 
 import numpy as np
 
-from .spin_ops import SpinSystem, angular_momentum, require_hermitian
+from .spin_ops import SpinSystem, require_hermitian
 
 # High-temperature polarization factor of the sodium-23 preset.
 NA23_EPSILON = 0.426e-5
@@ -31,19 +31,6 @@ def coherent_state(sys: SpinSystem, vartheta: float, varphi: float) -> np.ndarra
 
 def projector(state: np.ndarray) -> np.ndarray:
     return np.outer(state, state.conj())
-
-
-def bloch_vector(sys: SpinSystem, state_or_rho: np.ndarray) -> np.ndarray:
-    """(<Ix>, <Iy>, <Iz>) of a state vector or density matrix."""
-    ops = angular_momentum(sys)
-    rho = projector(state_or_rho) if state_or_rho.ndim == 1 else state_or_rho
-    return np.array([np.trace(rho @ M).real for M in (ops.Ix, ops.Iy, ops.Iz)])
-
-
-def cat_phase_prefactor(I: float) -> complex:
-    """Global prefactor (1/sqrt2) exp[-i (pi/2) (2I(2I+2)-3)/12] of the
-    two-branch superposition; -i/sqrt2 for I = 3/2."""
-    return np.exp(-1j * (np.pi / 2) * (2 * I * (2 * I + 2) - 3) / 12) / np.sqrt(2)
 
 
 def cat_state(sys: SpinSystem, vartheta: float, varphi: float, p: int) -> np.ndarray:
@@ -76,32 +63,6 @@ def cat_state(sys: SpinSystem, vartheta: float, varphi: float, p: int) -> np.nda
 def traceless_part(M: np.ndarray) -> np.ndarray:
     d = M.shape[0]
     return M - np.trace(M) / d * np.eye(d)
-
-
-def equilibrium_deviation(sys: SpinSystem) -> np.ndarray:
-    """Unit-trace deviation matrix of the high-temperature equilibrium,
-    identity/d + Iz."""
-    ops = angular_momentum(sys)
-    return np.eye(sys.d) / sys.d + ops.Iz.real
-
-
-def thermal_density(sys: SpinSystem, epsilon: float = NA23_EPSILON, deviation=None):
-    """First-order high-temperature density matrix.
-
-    rho = (1 - epsilon)/d * identity + epsilon * deviation, with a
-    unit-trace deviation matrix (defaults to the equilibrium identity/d + Iz
-    form; pass a coherent-state projector for a prepared effective pure
-    state).  Returns (rho, deviation).
-    """
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if deviation is None:
-        deviation = equilibrium_deviation(sys)
-    deviation = np.asarray(deviation, dtype=complex)
-    if abs(np.trace(deviation) - 1) > 1e-9:
-        raise ValueError("deviation matrix must have unit trace")
-    rho = (1 - epsilon) / sys.d * np.eye(sys.d) + epsilon * deviation
-    return rho, deviation
 
 
 def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

@@ -29,7 +29,7 @@ delay, a sign (-1)^d for every line at every nu_Q, so no map depends on
 the NMR parameters.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -44,7 +44,6 @@ FID_POINTS = 4096
 FID_DWELL = 12e-6
 SVD_CUTOFF = 1e-10
 COND_WARN = 1e6
-NUQ_JITTER_HZ = 70.0
 
 
 class TomographyPulse(NamedTuple):
@@ -222,30 +221,6 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     return SpectrumLines(nmr.omega_Q / (4 * np.pi) * (2 * sys.m_values[1:] + 1), gG[:, K] @ c)
 
 
-def _complex_noise(rng, sigma: float, shape) -> np.ndarray:
-    """Complex Gaussian noise of standard deviation sigma, drawn as
-    (real, imaginary) pairs in one call."""
-    noise = rng.normal(scale=sigma / np.sqrt(2), size=(*shape, 2))
-    return noise[..., 0] + 1j * noise[..., 1]
-
-
-def add_line_noise(lines: SpectrumLines, sigma: float, seed) -> SpectrumLines:
-    """Seeded complex Gaussian perturbation of the line amplitudes."""
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
-    if sigma == 0:
-        return lines
-    noise = _complex_noise(np.random.default_rng(seed), sigma, lines.amplitudes.shape)
-    return replace(lines, amplitudes=lines.amplitudes + noise)
-
-
-def jitter_nmr_params(nmr: NmrParams, seed) -> NmrParams:
-    """Quadrupolar-coupling jitter: nu_Q perturbed uniformly within +-NUQ_JITTER_HZ,
-    modelling temperature-induced line broadening."""
-    jitter_hz = np.random.default_rng(seed).uniform(-NUQ_JITTER_HZ, NUQ_JITTER_HZ)
-    return replace(nmr, omega_Q=nmr.omega_Q + 2 * np.pi * jitter_hz)
-
-
 def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
             mode: str = "coherence", noise_sigma: float = 0.0, seed=None) -> np.ndarray:
     """Stacked cycled line amplitudes plus the trace-constraint entry.
@@ -264,8 +239,10 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / np.sqrt(
             [len(cycle) for cycle in cycles])
-        B[:-1] += (scale[:, None] * _complex_noise(np.random.default_rng(seed), 1.0,
-                                                   (len(cycles), sys.d - 1))).ravel()
+        # 1 / sqrt(2), not sqrt(0.5), which is one ulp larger and would change noisy outputs
+        noise = np.random.default_rng(seed).normal(scale=1 / np.sqrt(2),
+                                                   size=(len(cycles), sys.d - 1, 2))
+        B[:-1] += (scale[:, None] * (noise[..., 0] + 1j * noise[..., 1])).ravel()
     return B
 
 
@@ -313,15 +290,6 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
         "ill_conditioned": design.condition_number > COND_WARN,
     }
     return rho, info
-
-
-def run_tomography(sys: SpinSystem, rho: np.ndarray, nmr: NmrParams,
-                   mode: str = "coherence", noise_sigma: float = 0.0, seed=None):
-    """Convenience pipeline: synthesize, stack, reconstruct; nmr is not read, as in `measure`."""
-    cycles = pulse_set(sys)
-    design = build_design_matrix(sys, cycles, nmr, mode)
-    B = measure(sys, rho, cycles, nmr, mode, noise_sigma=noise_sigma, seed=seed)
-    return reconstruct(design, B, sys)
 
 
 def reconstruction_record(sys: SpinSystem, rho, info, target=None,

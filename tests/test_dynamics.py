@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincat.dynamics import (NmrParams, QuadrupolarParams,
-                              atom_field_hamiltonian, cat_time,
+from spincat.dynamics import (NmrParams, atom_field_hamiltonian, cat_time,
                               effective_hamiltonian, evolve,
-                              free_evolution_schedule, nmr_hamiltonian,
-                              quadrupolar_hamiltonian)
+                              free_evolution_schedule, nmr_hamiltonian)
 from spincat.spin_ops import SpinSystem, angular_momentum
 from spincat.states import cat_state, coherent_state, fidelity, projector
 
@@ -28,8 +26,9 @@ def test_nmr_hamiltonian_terms():
 
 
 def test_quadrupolar_term_traceless():
+    # on resonance with the RF off only the quadrupolar term is left
     sys = SpinSystem(2.5)
-    H = quadrupolar_hamiltonian(sys, QuadrupolarParams(OMEGA_Q, 0.3))
+    H = nmr_hamiltonian(sys, NmrParams(omega_L=100.0, omega_RF=100.0, omega_Q=OMEGA_Q))
     assert abs(np.trace(H)) < 1e-9
 
 
@@ -46,7 +45,7 @@ def test_satellite_line_gaps():
     # single-quantum transition frequencies of the pure quadrupolar
     # Hamiltonian sit at -nu_Q, 0, +nu_Q for I = 3/2
     sys = SpinSystem(1.5)
-    H = quadrupolar_hamiltonian(sys, QuadrupolarParams(OMEGA_Q))
+    H = nmr_hamiltonian(sys, NmrParams(omega_L=100.0, omega_RF=100.0, omega_Q=OMEGA_Q))
     e = np.diag(H).real
     gaps = np.diff(e) / (2 * np.pi)
     assert np.allclose(gaps, [-NU_Q, 0.0, NU_Q], atol=1e-9)
@@ -62,20 +61,6 @@ def test_atom_field_shift_proportional_to_identity():
     Heff = effective_hamiltonian(sys, -2 * kappa, round(2 * nbar + 1))
     diff = H - Heff
     assert np.allclose(diff, diff[0, 0] * np.eye(sys.d), atol=1e-9)
-
-
-def test_asymmetry_couples_delta_m_two():
-    sys = SpinSystem(1.5)
-    H = quadrupolar_hamiltonian(sys, QuadrupolarParams(OMEGA_Q, eta=0.5))
-    off = H - np.diag(np.diag(H))
-    nz = np.argwhere(np.abs(off) > 1e-9)
-    assert len(nz) > 0
-    assert all(abs(i - j) == 2 for i, j in nz)
-
-
-def test_eta_range():
-    with pytest.raises(ValueError):
-        QuadrupolarParams(OMEGA_Q, eta=1.5)
 
 
 def test_evolve_unitary_and_energy_conserving():

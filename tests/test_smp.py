@@ -337,3 +337,8 @@ def test_optimizer_input_validation(monkeypatch):
     for budget in (2.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="budget"):
             optimize_smp(SYS, NMR, target, n_segments=3, delta_t=1e-6, budget=budget)
+    # so are a fractional segment or variant count and fewer than one start
+    for name, value in (("n_segments", 2.5), ("n_variants", 1.5), ("n_starts", 0),
+                        ("n_starts", -3)):
+        with pytest.raises(ValueError, match=name):
+            optimize_smp(SYS, NMR, target, **{"n_segments": 3, "delta_t": 1e-6, name: value})

@@ -12,9 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from spincat.dynamics import NmrParams, nmr_hamiltonian
 from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, _wigner_d_rows, angular_momentum,
                               expm_hermitian, from_tensor_coefficients, reduced_wigner_d,
-                              require_hermitian, rotation_operator, spherical_tensor,
-                              spherical_tensor_basis, tensor_band, tensor_coefficients,
-                              tensor_keys, tensor_stack)
+                              require_hermitian, rotation_operator, spherical_tensor_basis,
+                              tensor_band, tensor_coefficients, tensor_keys, tensor_stack)
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0]
 
@@ -219,20 +218,12 @@ def test_tensor_basis_dict_is_a_copy():
         basis[(2, 1)][0, 1] = 5.0
     assert np.array_equal(spherical_tensor_basis(sys)[(1, 0)], stack[2])
     assert np.array_equal(tensor_stack(sys), stack)
-    assert np.array_equal(spherical_tensor(sys, 0, 0), stack[0])
-
-
-def test_tensor_rank_range_errors():
-    sys = SpinSystem(1.5)
-    with pytest.raises(ValueError):
-        spherical_tensor(sys, 4, 0)
-    with pytest.raises(ValueError):
-        spherical_tensor(sys, 2, 3)
+    assert np.array_equal(spherical_tensor_basis(sys)[(0, 0)], stack[0])
 
 
 def test_identity_tensor():
     sys = SpinSystem(1.5)
-    T00 = spherical_tensor(sys, 0, 0)
+    T00 = spherical_tensor_basis(sys)[(0, 0)]
     assert np.allclose(T00, np.eye(4) / 2, atol=1e-12)
 
 

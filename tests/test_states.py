@@ -1,4 +1,4 @@
-"""Coherent states, cat superpositions, thermal matrices, fidelity."""
+"""Coherent states, cat superpositions, fidelity."""
 
 from math import comb
 
@@ -7,9 +7,7 @@ import pytest
 
 from spincat.dynamics import cat_time, effective_hamiltonian, evolve
 from spincat.spin_ops import SpinSystem, angular_momentum
-from spincat.states import (NA23_EPSILON, bloch_vector, cat_phase_prefactor,
-                            cat_state, coherent_state, equilibrium_deviation,
-                            fidelity, projector, thermal_density, traceless_part)
+from spincat.states import cat_state, coherent_state, fidelity, projector
 
 
 def test_north_pole_is_lowest_state():
@@ -38,9 +36,15 @@ def test_normalization():
         assert abs(np.linalg.norm(coherent_state(sys, vt, 1.1)) - 1) < 1e-14
 
 
+def _mean_spin(sys, psi):
+    """(<Ix>, <Iy>, <Iz>) = Tr(rho I_alpha) of the state psi."""
+    ops, rho = angular_momentum(sys), projector(psi)
+    return np.array([np.trace(rho @ M).real for M in (ops.Ix, ops.Iy, ops.Iz)])
+
+
 def test_bloch_vector_equatorial():
     sys = SpinSystem(1.5)
-    v = bloch_vector(sys, coherent_state(sys, np.pi / 2, 0.0))
+    v = _mean_spin(sys, coherent_state(sys, np.pi / 2, 0.0))
     assert np.allclose(v, [1.5, 0, 0], atol=1e-14)
 
 
@@ -50,12 +54,8 @@ def test_bloch_vector_length(I):
     rng = np.random.default_rng(5)
     for _ in range(5):
         vt, vp = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        v = bloch_vector(sys, coherent_state(sys, vt, vp))
+        v = _mean_spin(sys, coherent_state(sys, vt, vp))
         assert abs(np.linalg.norm(v) - I) < 1e-12
-
-
-def test_cat_phase_prefactor_three_halves():
-    assert abs(cat_phase_prefactor(1.5) - (-1j) / np.sqrt(2)) < 1e-14
 
 
 @pytest.mark.parametrize("I", [1.0, 1.5, 2.0, 2.5, 3.0])
@@ -72,16 +72,17 @@ def test_cat_state_matches_propagator(I, p):
 def test_cat_state_two_branch_structure():
     # for p = 0 the cat is the even/odd combination of antipodal-azimuth
     # coherent states with phases -pi/4 and +pi/4 and a rank-dependent
-    # global phase
+    # global phase, -i/sqrt2 at I = 3/2
     sys = SpinSystem(1.5)
     vt, vp = np.pi / 2, 0.4
     I = sys.I
     delta = -np.pi * I
     G = np.exp(1j * np.pi * (I * (I + 1) / 3 - I * I) / 2)
-    manual = G / np.sqrt(2) * (
-        np.exp(-1j * np.pi / 4) * coherent_state(sys, vt, vp + delta)
-        + np.exp(1j * np.pi / 4) * coherent_state(sys, vt, vp + delta - np.pi))
-    assert np.abs(manual - cat_state(sys, vt, vp, 0)).max() < 1e-14
+    branches = (np.exp(-1j * np.pi / 4) * coherent_state(sys, vt, vp + delta)
+                + np.exp(1j * np.pi / 4) * coherent_state(sys, vt, vp + delta - np.pi))
+    cat = cat_state(sys, vt, vp, 0)
+    assert np.abs(G / np.sqrt(2) * branches - cat).max() < 1e-14
+    assert np.abs(-1j / np.sqrt(2) * branches - cat).max() < 1e-14
 
 
 def test_cat_state_normalized():
@@ -92,39 +93,6 @@ def test_cat_state_normalized():
 def test_cat_rejects_non_integer_p():
     with pytest.raises(ValueError):
         cat_state(SpinSystem(1.5), np.pi / 2, 0.0, 0.5)
-
-
-def test_equilibrium_deviation():
-    sys = SpinSystem(1.5)
-    dev = equilibrium_deviation(sys)
-    ops = angular_momentum(sys)
-    assert abs(np.trace(dev) - 1) < 1e-14
-    assert np.allclose(traceless_part(dev), ops.Iz.real, atol=1e-14)
-
-
-def test_thermal_density_defaults():
-    sys = SpinSystem(1.5)
-    rho, dev = thermal_density(sys)
-    assert abs(np.trace(rho) - 1) < 1e-12
-    assert np.allclose(traceless_part(rho), NA23_EPSILON * traceless_part(dev),
-                       atol=1e-18)
-
-
-def test_thermal_density_with_projector():
-    sys = SpinSystem(1.5)
-    P = projector(coherent_state(sys, np.pi / 2, 0))
-    rho, dev = thermal_density(sys, deviation=P)
-    assert np.allclose(dev @ dev, dev, atol=1e-12)  # idempotent projector
-    assert abs(np.trace(rho) - 1) < 1e-12
-
-
-def test_thermal_density_rejects_bad_inputs():
-    sys = SpinSystem(1.5)
-    for epsilon in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="epsilon"):
-            thermal_density(sys, epsilon=epsilon)
-    with pytest.raises(ValueError):
-        thermal_density(sys, deviation=np.eye(4))  # trace 4, not 1
 
 
 def test_fidelity_properties():

@@ -13,11 +13,9 @@ from spincat.spin_ops import (SpinSystem, angular_momentum, from_tensor_coeffici
                               tensor_stack)
 from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
-from spincat.tomography import (FID_DWELL, FID_POINTS, SpectrumLines,
-                                TomographyPulse, TomographyRankError,
-                                add_line_noise, build_design_matrix,
-                                coherence_cycle, jitter_nmr_params, measure,
-                                pulse_set, reconstruct, run_tomography,
+from spincat.tomography import (FID_DWELL, FID_POINTS, TomographyPulse,
+                                TomographyRankError, build_design_matrix,
+                                coherence_cycle, measure, pulse_set, reconstruct,
                                 synthesize_spectrum, zero_order_cycle)
 
 NU_Q = 15220.0
@@ -114,6 +112,7 @@ def test_noise_free_roundtrip(design):
         B = measure(SYS, rho, pulse_set(SYS), NMR)
         rec, info = reconstruct(design, B, SYS)
         assert np.abs(rec - rho).max() < 1e-8
+        assert info["hermitian_residual"] < 1e-10
         assert not info["ill_conditioned"]
 
 
@@ -162,8 +161,9 @@ def test_fid_mode_aliased_lines_reconstruct():
     # at nu_Q = 1/(2 dwell) the +nu_Q and -nu_Q lines alias in the sampled
     # decay; the detected amplitudes still determine rho
     nmr = NmrParams(0.0, 0.0, 2 * np.pi / (2 * FID_DWELL))
-    rho = random_density(np.random.default_rng(7))
-    rec, _ = run_tomography(SYS, rho, nmr, mode="fid")
+    rho, cycles = random_density(np.random.default_rng(7)), pulse_set(SYS)
+    B = measure(SYS, rho, cycles, nmr, mode="fid")
+    rec, _ = reconstruct(build_design_matrix(SYS, cycles, nmr, mode="fid"), B, SYS)
     assert np.abs(rec - rho).max() < 1e-9
 
 
@@ -514,25 +514,6 @@ def test_design_columns_match_expm_reference(spin, mode):
         assert np.abs(block[:, Q == q]).max() > 1e-3, q
 
 
-def test_add_line_noise_contracts():
-    lines = SpectrumLines(np.array([0.0, 1.0]), np.array([1 + 0j, 2 + 0j]))
-    same = add_line_noise(lines, 0.0, seed=0)
-    assert same is lines
-    n1 = add_line_noise(lines, 0.1, seed=42)
-    n2 = add_line_noise(lines, 0.1, seed=42)
-    assert np.allclose(n1.amplitudes, n2.amplitudes)
-    assert not np.allclose(n1.amplitudes, lines.amplitudes)
-    for sigma in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            add_line_noise(lines, sigma, seed=0)
-
-
-def test_jitter_bound():
-    for seed in range(20):
-        j = jitter_nmr_params(NMR, seed)
-        assert abs(j.omega_Q - NMR.omega_Q) <= 2 * np.pi * 70.0
-
-
 def test_equilibrium_line_ratios():
     # Iz deviation after a pi/2 pulse gives the 3:4:3 multiplet of I = 3/2
     Iz = angular_momentum(SYS).Iz.real
@@ -542,20 +523,12 @@ def test_equilibrium_line_ratios():
     assert np.allclose(mags / mags[1], [0.75, 1.0, 0.75], atol=1e-10)
 
 
-def test_run_tomography_pipeline():
-    rho = projector(cat_state(SYS, np.pi / 2, 0, 1))
-    rec, info = run_tomography(SYS, rho, NMR)
-    assert fidelity(rec, rho) > 1 - 1e-10
-    assert info["hermitian_residual"] < 1e-10
-
-
 @pytest.mark.parametrize("d", [3, 5, 6])
 def test_wrong_sized_density_matrix_is_refused(d):
     # every entry point checks rho's shape against the spin, not only reconstruct's caller
     rho = random_density(np.random.default_rng(d), d)
     for call in (lambda: measure(SYS, rho, pulse_set(SYS), NMR),
-                 lambda: synthesize_spectrum(SYS, rho, zero_order_cycle(SYS)[0], NMR),
-                 lambda: run_tomography(SYS, rho, NMR)):
+                 lambda: synthesize_spectrum(SYS, rho, zero_order_cycle(SYS)[0], NMR)):
         with pytest.raises(ValueError, match="density matrix must be 4x4"):
             call()
 

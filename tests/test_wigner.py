@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spincat import wigner
 from spincat.spin_ops import (SpinSystem, euler_rotation_matrix, rotation_operator,
-                              spherical_tensor, tensor_keys, tensor_stack)
+                              tensor_keys, tensor_stack)
 from spincat.states import cat_state, coherent_state, projector
 from spincat.wigner import (WignerGrid, _grid_nodes, _polar_harmonics, grid_argmax,
                             integrate_sphere, read_csv, spherical_harmonic,
