@@ -58,6 +58,16 @@ def test_bloch_vector_length(I):
         assert abs(np.linalg.norm(v) - I) < 1e-12
 
 
+def test_cat_phase_prefactor_three_halves():
+    # at I = 3/2 the p = 0 cat carries the global phase -i/sqrt2 in front of
+    # its two coherent-state branches
+    sys = SpinSystem(1.5)
+    vt, vp, delta = np.pi / 2, 0.4, -np.pi * 1.5
+    branches = (np.exp(-1j * np.pi / 4) * coherent_state(sys, vt, vp + delta)
+                + np.exp(1j * np.pi / 4) * coherent_state(sys, vt, vp + delta - np.pi))
+    assert np.abs(-1j / np.sqrt(2) * branches - cat_state(sys, vt, vp, 0)).max() < 1e-14
+
+
 @pytest.mark.parametrize("I", [1.0, 1.5, 2.0, 2.5, 3.0])
 @pytest.mark.parametrize("p", [-2, -1, 0, 1, 2, 3])
 def test_cat_state_matches_propagator(I, p):
@@ -72,7 +82,7 @@ def test_cat_state_matches_propagator(I, p):
 def test_cat_state_two_branch_structure():
     # for p = 0 the cat is the even/odd combination of antipodal-azimuth
     # coherent states with phases -pi/4 and +pi/4 and a rank-dependent
-    # global phase, -i/sqrt2 at I = 3/2
+    # global phase
     sys = SpinSystem(1.5)
     vt, vp = np.pi / 2, 0.4
     I = sys.I
@@ -80,9 +90,7 @@ def test_cat_state_two_branch_structure():
     G = np.exp(1j * np.pi * (I * (I + 1) / 3 - I * I) / 2)
     branches = (np.exp(-1j * np.pi / 4) * coherent_state(sys, vt, vp + delta)
                 + np.exp(1j * np.pi / 4) * coherent_state(sys, vt, vp + delta - np.pi))
-    cat = cat_state(sys, vt, vp, 0)
-    assert np.abs(G / np.sqrt(2) * branches - cat).max() < 1e-14
-    assert np.abs(-1j / np.sqrt(2) * branches - cat).max() < 1e-14
+    assert np.abs(G / np.sqrt(2) * branches - cat_state(sys, vt, vp, 0)).max() < 1e-14
 
 
 def test_cat_state_normalized():
