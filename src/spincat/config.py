@@ -17,12 +17,12 @@ CONFIG_SCHEMA = {
         "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20},
         "nu_Q": {"type": "number", "minimum": 1},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "integer"},
+        "p": {"type": "integer", "minimum": -2**53, "maximum": 2**53},  # exact as doubles
         "vartheta": {"type": "number", "minimum": 0, "maximum": np.pi},
         "varphi": {"type": "number"},
         "checkpoints": {
             "type": "array",
-            "items": {"type": "integer", "minimum": 0},
+            "items": {"type": "integer", "minimum": 0, "maximum": 2**53},  # as p
             "minItems": 1, "uniqueItems": True,
         },
         "mode": {"enum": ["coherence", "fid"]},

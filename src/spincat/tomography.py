@@ -17,8 +17,8 @@ angle theta_a.  A cycle tuned to q keeps only Q = q (Bodenhausen, Kogler & Ernst
 Reson. 58, 370 (1984)), so A is block-diagonal: cycles and orders linked through nonzero sums
 span one block, T_00 another with the trace row.  For `pulse_set` each order Q != 0 (mod 4)
 is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 4I + 2 -
-2 floor(I/2) blocks in all.  The design is factored block by block, and `measure` applies the
-same blocks to rho's tensor coefficients.
+2 floor(I/2) blocks in all.  Each pulse set is compiled and factored once, block by block, and
+`measure` applies the same blocks to rho's tensor coefficients.
 
 "fid" mode detects the lines at the start of acquisition, after they
 have precessed through the receiver-protection delay 1/nu_Q.  This is
@@ -70,16 +70,17 @@ class DesignSystem:
     n_rows: int               # n_cycles 2I lines plus the trace row
     solve: tuple              # (P, cols, rows) per stack: zero-padded block pseudo-inverses,
                               # the columns they fill and the B entries they read
-    blocks: tuple             # (rows, cols, M) per diagonal block of the map
+    stacks: tuple             # (M, rows, cols) per stack: the map's zero-padded diagonal blocks
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The read-only (n_rows, d^2) map in tensor coordinates, assembled on first use."""
-        A = np.zeros((self.n_rows, len(self.keys)), dtype=complex)
-        for rows, cols, M in self.blocks:
-            A[rows[:, None], cols] = M
+        """The read-only (n_rows, d^2) map in tensor coordinates, assembled on first use from
+        the stacks, whose padding writes zeros to a spare row and column."""
+        A = np.zeros((self.n_rows + 1, len(self.keys) + 1), dtype=complex)
+        for M, rows, cols in self.stacks:
+            A[rows[..., None], cols[:, None]] = M
         A.setflags(write=False)
-        return A
+        return A[:-1, :-1]
 
 
 class TomographyRankError(ValueError):
@@ -144,11 +145,13 @@ def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _closed_form(sys: SpinSystem, cycles, mode: str):
-    """Read-only (blocks, stacks) of a pulse set's map (module docstring), built once per
-    (spin, cycles, mode).  blocks are its diagonal blocks (rows, cols, M), views into two
-    zero-padded stacks (M, rows, cols): every block but the widest, and the widest.  Padded
-    rows and columns point at a spare entry past the end.  Phase sums below 1e-12 are exact
-    zeros, as sums of roots of unity."""
+    """A pulse set's map (module docstring), compiled and factored once per (spin, cycles,
+    mode) into read-only (stacks, solve, condition number, rank, weak).  The stacks
+    (M, rows, cols) zero-pad its diagonal blocks: every block but the widest, and the widest;
+    padded rows and columns point at a spare entry past the end.  One SVD per stack gives the
+    rank (sigma > SVD_CUTOFF sigma_max, padding adds sigma ~ 1e-16 sigma_max), the conditioning,
+    the block pseudo-inverses (P, cols, rows) and weak, the columns outside the span of the kept
+    right singular vectors.  Phase sums below 1e-12 are exact zeros, as sums of roots of unity."""
     gG = _line_gains(sys, mode)
     if not cycles:
         raise ValueError("the pulse set has no cycles")
@@ -180,18 +183,29 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
         blocks.append(((cyc[:, None] * (d - 1) + i[:-1]).ravel(), cols,
                        (gG[:, K[cols]] * C[:, None]).reshape(-1, len(cols))))
     blocks.sort(key=lambda b: b[2].shape[::-1])   # by columns, then rows: the widest last
-    views, stacks = [], []
+    stacks = []
     for group in (blocks[:-1], blocks[-1:]):
         n_r, n_c = (max(len(b[k]) for b in group) for k in (0, 1))
         M = np.zeros((len(group), n_r, n_c), dtype=complex)
         rows, cols = np.full((len(group), n_r), n_rows), np.full((len(group), n_c), len(K))
         for k, (rb, cb, Mb) in enumerate(group):
             rows[k, :len(rb)], cols[k, :len(cb)], M[k, :len(rb), :len(cb)] = rb, cb, Mb
-            views.append((rb, cb, M[k, :len(rb), :len(cb)]))
         stacks.append((M, rows, cols))
-    for arr in [arr for part in views + stacks for arr in part]:
+    del blocks, group, Mb   # free the unpadded blocks before the SVDs: 11 MB of peak at I = 20
+    runs = [np.linalg.svd(M, full_matrices=False) for M, _, _ in stacks]
+    top = max(s.max() for _, s, _ in runs)
+    keep = [s > SVD_CUTOFF * top for _, s, _ in runs]
+    solve, weak = [], np.zeros(len(K) + 1, dtype=bool)
+    for (U, s, Vh), k, (_, rows, cols) in zip(runs, keep, stacks):
+        inv = np.divide(1, s, out=np.zeros_like(s), where=k)
+        solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
+                      cols, rows))
+        weak[cols] = 1 - (np.abs(Vh) ** 2 * k[..., None]).sum(axis=1) > 1e-12
+    for arr in [arr for part in stacks + solve for arr in part] + [weak]:
         arr.setflags(write=False)
-    return tuple(views), tuple(stacks)
+    low = min(s[k].min() for (_, s, _), k in zip(runs, keep))
+    rank = int(sum(k.sum() for k in keep))
+    return tuple(stacks), tuple(solve), float(top / low), rank, weak[:-1]
 
 
 def _apply(stacks, x: np.ndarray, n: int) -> np.ndarray:
@@ -234,7 +248,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     if not 0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     cycles = _PulseSetKey(map(tuple, cycles))
-    _, stacks = _closed_form(sys, cycles, mode)
+    stacks = _closed_form(sys, cycles, mode)[0]
     B = _apply(stacks, tensor_coefficients(sys, rho), len(cycles) * (sys.d - 1) + 1)
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / np.sqrt(
@@ -248,30 +262,16 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
-    """Factor the pulse set's map block by block: one SVD per padded stack gives the rank
-    (sigma > SVD_CUTOFF sigma_max), the conditioning of the whole map and the block
-    pseudo-inverses.  Zero padding adds singular values of order 1e-16 sigma_max, far
-    below the cutoff.  nmr is not read, as in `measure`."""
+    """The pulse set's map, compiled and factored once (`_closed_form`), or a
+    TomographyRankError naming the weakly determined (K, Q) if its rank is short.  nmr is
+    not read, as in `measure`."""
     cycles = _PulseSetKey(map(tuple, cycles))
-    blocks, stacks = _closed_form(sys, cycles, mode)
+    stacks, solve, condition_number, rank, weak = _closed_form(sys, cycles, mode)
     keys = tensor_keys(sys)
-    runs = [np.linalg.svd(M, full_matrices=False) for M, _, _ in stacks]
-    top = max(s.max() for _, s, _ in runs)
-    keep = [s > SVD_CUTOFF * top for _, s, _ in runs]
-    kept = np.concatenate([k.sum(axis=1) for k in keep])
-    if kept.sum() < len(keys):
-        weak = np.zeros(len(keys), dtype=bool)
-        for (_, cols, M), r in zip(blocks, kept):
-            weak[cols] |= (np.abs(np.linalg.svd(M)[2][r:]) > 1e-6).any(axis=0)
-        raise TomographyRankError(int(kept.sum()), len(keys), [k for k, w in zip(keys, weak) if w])
-    solve = []
-    for (U, s, Vh), k, (_, rows, cols) in zip(runs, keep, stacks):
-        inv = np.divide(1, s, out=np.zeros_like(s), where=k)
-        solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
-                      cols, rows))
-    low = min(s[k].min() for (_, s, _), k in zip(runs, keep))
-    return DesignSystem(keys, float(top / low), len(keys),
-                        len(cycles) * (sys.d - 1) + 1, tuple(solve), blocks)
+    if rank < len(keys):
+        raise TomographyRankError(rank, len(keys), [k for k, w in zip(keys, weak) if w])
+    return DesignSystem(keys, condition_number, rank, len(cycles) * (sys.d - 1) + 1, solve,
+                        stacks)
 
 
 def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):

@@ -95,10 +95,16 @@ def test_grid_must_resolve_spin(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,bound,outside", [
     ("n_theta", 2048, 4096), ("n_phi", 2048, 10**9), ("nu_Q", 1, 1e-300),
-    ("noise_sigma", 1000, 1e308)])
+    ("noise_sigma", 1000, 1e308),
+    pytest.param("p", 2**53, 10**400, id="p-2**53-10**400"),
+    pytest.param("p", -2**53, -10**400, id="p--2**53--10**400"),
+    pytest.param("checkpoints", [2**53], [10**400], id="checkpoints-2**53-10**400"),
+    pytest.param("checkpoints", [2**53], [1e300], id="checkpoints-2**53-1e+300")])
 def test_value_outside_bounds_exit_code(tmp_path, capsys, field, bound, outside):
     # a 1e9-node grid would exhaust memory, nu_Q = 1e-300 Hz gives a cat time
-    # of 5e299 s and noise_sigma = 1e308 overflows: each is refused up front
+    # of 5e299 s and noise_sigma = 1e308 overflows: each is refused up front.
+    # p and k become doubles: 10**400 overflows, and a checkpoint of 1e300 names
+    # a file rho_1000...json too long to write
     assert validate_config({**GOOD, field: bound})
     p = write_config(tmp_path, {**GOOD, field: outside})
     assert main(["validate", "--config", str(p)]) == 2
@@ -283,6 +289,7 @@ def test_cli_run_outputs_and_determinism(tmp_path, mode):
            "noise_sigma": 0.02, "seed": 5, "mode": mode}
     p = write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    tomography._closed_form.cache_clear()   # a cold run, then one on the cached factors
     assert main(["run", "--config", str(p), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(p), "--out", str(out2)]) == 0
     for fname in ("report.json", "rho_1.json", "wigner_1.csv"):

@@ -299,16 +299,20 @@ def test_pulse_sets_sharing_length_and_end_cycles_compile_apart():
         assert np.array_equal(design.matrix, compiled_map(SYS, c))
 
 
-def test_equal_pulse_set_hits_compiled_map():
-    # value-equal cycles of new pulse objects, as lists or tuples, find the compiled map
+def test_equal_pulse_set_hits_compiled_map(monkeypatch):
+    # value-equal cycles of new pulse objects, as lists or tuples, find the compiled map,
+    # factored with it: a warm build_design_matrix takes no SVD
     build_design_matrix(SYS, pulse_set(SYS), NMR)
     misses = tomography._closed_form.cache_info().misses
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     fresh = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
                                        for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
     for cycles in (pulse_set(SYS), fresh, tuple(map(tuple, fresh))):
         build_design_matrix(SYS, cycles, NMR)
         measure(SYS, random_density(np.random.default_rng(17)), cycles, NMR)
     assert tomography._closed_form.cache_info().misses == misses
+    assert not calls
 
 
 @pytest.mark.parametrize("call", ["measure", "build_design_matrix"])
@@ -352,9 +356,10 @@ def test_fid_map_is_signed_coherence_map(spin):
     fid, coherence = (tomography._closed_form.__wrapped__(sys, cycles, mode)[0]
                       for mode in ("fid", "coherence"))
     assert len(fid) == len(coherence)
-    for (fid_rows, fid_cols, fid_M), (rows, cols, M) in zip(fid, coherence):
+    for (fid_M, fid_rows, fid_cols), (M, rows, cols) in zip(fid, coherence):
         assert np.array_equal(fid_rows, rows) and np.array_equal(fid_cols, cols)
-        sign = 1 if list(cols) == [0] else (-1) ** sys.d   # the trace row is not a line
+        # the trace row, the one row of the block of column 0, is not a line
+        sign = np.where(cols[:, :1] == 0, 1, (-1) ** sys.d)[..., None]
         assert np.array_equal(fid_M, sign * M)
     fid, coherence = (build_design_matrix(sys, cycles, NMR, mode).matrix
                       for mode in ("fid", "coherence"))
@@ -382,10 +387,15 @@ def rx_product_map(sys, cycles, mode="coherence"):
 
 
 def compiled_map(sys, cycles, mode="coherence"):
-    """The dense map assembled from the compiled diagonal blocks of a pulse set."""
-    A = np.zeros((len(cycles) * (sys.d - 1) + 1, sys.d ** 2), dtype=complex)
-    for rows, cols, M in tomography._closed_form.__wrapped__(sys, cycles, mode)[0]:
-        A[np.ix_(rows, cols)] = M
+    """The dense map assembled block by block from the compiled stacks of a pulse set,
+    whose padded rows and columns, past the end, hold zeros."""
+    n_rows, n_cols = len(cycles) * (sys.d - 1) + 1, sys.d ** 2
+    A = np.zeros((n_rows, n_cols), dtype=complex)
+    for stack in tomography._closed_form.__wrapped__(sys, cycles, mode)[0]:
+        for M, rows, cols in zip(*stack):
+            r, c = rows < n_rows, cols < n_cols
+            assert not M[~r].any() and not M[:, ~c].any()
+            A[np.ix_(rows[r], cols[c])] = M[np.ix_(r, c)]
     return A
 
 
@@ -451,25 +461,31 @@ def test_block_count(spin):
     # quadruple, and T_00 with the trace row
     sys = SpinSystem(spin)
     design = build_design_matrix(sys, pulse_set(sys), NMR)
-    assert len(design.blocks) == 4 * spin + 2 - 2 * int(spin // 2)
-    assert sorted(k for _, cols, _ in design.blocks for k in cols) == list(range(sys.d ** 2))
+    assert sum(len(M) for M, _, _ in design.stacks) == 4 * spin + 2 - 2 * int(spin // 2)
+    cols = np.concatenate([cols.ravel() for _, _, cols in design.stacks])
+    assert sorted(cols[cols < sys.d ** 2]) == list(range(sys.d ** 2))   # the rest is padding
 
 
-@pytest.mark.parametrize("cycle_set", ["pi/2 only", "no order 1", "three steps"])
-def test_rank_error_names_dense_null_keys(cycle_set):
-    # a block short of rows, a block with no rows at all, and blocks of aliased orders
-    sys = SpinSystem(3.5)
+@pytest.mark.parametrize("spin", [1.5, 3.5])
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+@pytest.mark.parametrize("cycle_set", ["pi/2 only", "no order 1", "aliased"])
+def test_rank_error_names_dense_null_keys(cycle_set, mode, spin):
+    # a block short of rows, a block with no rows at all, and blocks of aliased orders;
+    # the weak keys come from the kept right singular vectors of the compiled blocks
+    sys = SpinSystem(spin)
+    twoI = sys.d - 1
     cycles = {
         "pi/2 only": pulse_set(sys, nutation_angles=(np.pi / 2,)),
         "no order 1": [zero_order_cycle(sys)] + [coherence_cycle(sys, q, theta) for theta in
-                                                 (np.pi / 2, np.pi / 4) for q in range(-7, 8)
-                                                 if q != 1],
-        "three steps": aliased_cycles(sys, 3),
+                                                 (np.pi / 2, np.pi / 4)
+                                                 for q in range(-twoI, twoI + 1) if q != 1],
+        # three phase steps still reach full rank at I = 3/2, two do not
+        "aliased": aliased_cycles(sys, 3 if spin > 1.5 else 2),
     }[cycle_set]
-    rank, null_keys = dense_null_keys(sys, rx_product_map(sys, cycles))
+    rank, null_keys = dense_null_keys(sys, rx_product_map(sys, cycles, mode))
     assert rank < sys.d ** 2 and null_keys
     with pytest.raises(TomographyRankError) as exc:
-        build_design_matrix(sys, cycles, NMR)
+        build_design_matrix(sys, cycles, NMR, mode)
     assert exc.value.rank == rank
     assert exc.value.null_keys == null_keys
 
@@ -484,7 +500,7 @@ def test_spin_20_design_in_seconds():
     design = build_design_matrix(sys, cycles, NMR)
     rec, info = reconstruct(design, measure(sys, rho, cycles, NMR), sys)
     assert time.perf_counter() - start < 10.0
-    assert len(design.blocks) == 62
+    assert sum(len(M) for M, _, _ in design.stacks) == 62
     assert np.abs(rec - rho).max() < 1e-10
     assert info["condition_number"] < 1e3
 
