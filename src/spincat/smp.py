@@ -104,12 +104,12 @@ def temporal_average(sys: SpinSystem, variants, rho0: np.ndarray,
 # optimizer internals
 
 
-def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants, n_seg):
+def _objective_and_gradient(x, H_static, ops, target, dt, n_variants, n_seg):
     """Negative fidelity of the temporal-averaged evolved deviation against
     the target deviation, and its exact GRAPE gradient in each segment's
     eigenbasis: U_k = W diag(h^2) W^H with lam, V from the real eigh of
     H_static + w Ix, h = exp(-i lam dt/2) and W = Rz(phi) V.  With the prefix
-    P_k = U_{k-1} ... U_0 and A = rho0 Utot^H M Utot (M = dF/d rho_bar), the
+    P_k = U_{k-1} ... U_0 and A = Iz Utot^H M Utot (M = dF/d rho_bar), the
     derivative along segment k is 2 Re Tr(U_k^H dU_k Y_k), Y_k = P_k A P_k^H.
     Phase: dU/dphi = -i [Iz, U] and U_k Y_k U_k^H = Y_{k+1} give
     2 Im sum_a m_a (Y_{k+1} - Y_k)_aa.  Amplitude: with B_k = W^H P_k,
@@ -117,41 +117,44 @@ def _objective_and_gradient(x, sys, H_static, ops, dt, rho0, target, n_variants,
     sinc(dt (lam_i - lam_j) / 2): the Loewner divided difference, degenerate
     limit included.  Products with A on the right run one per variant."""
     x = x.reshape(n_variants, n_seg, 2)
-    m = ops.Iz.diagonal().real
+    m, d = ops.Iz.diagonal().real, len(ops.Iz)
     lam, V = np.linalg.eigh(H_static.real + x[..., 0, None, None] * ops.Ix.real)
     h = np.exp(-0.5j * dt * lam)
     W = np.exp(-1j * x[..., 1, None, None] * m[:, None]) * V
     Wh = np.swapaxes(W, -1, -2).conj()
     U = (W * (h * h)[..., None, :]) @ Wh
-    P = np.empty((n_variants, n_seg + 1, sys.d, sys.d), dtype=complex)
-    P[:, 0] = np.eye(sys.d)
+    P = np.empty((n_variants, n_seg + 1, d, d), dtype=complex)
+    P[:, 0] = np.eye(d)
     for k in range(n_seg):
         P[:, k + 1] = U[:, k] @ P[:, k]
     Utot, Utot_h = P[:, -1], np.swapaxes(P[:, -1], -1, -2).conj()
-    rho_bar = (Utot @ rho0 @ Utot_h).mean(axis=0)
+    rho_bar = (Utot @ ops.Iz @ Utot_h).mean(axis=0)   # from the equilibrium Iz deviation
     nt = np.linalg.norm(target)
     a, b = np.trace(rho_bar @ target).real, np.trace(rho_bar @ rho_bar).real
     F = a / (np.sqrt(b) * nt)
     M = target / (np.sqrt(b) * nt) - (a / (nt * b ** 1.5)) * rho_bar
-    A = rho0 @ Utot_h @ M @ Utot
-    PA = (P.reshape(n_variants, -1, sys.d) @ A).reshape(P.shape)
+    A = ops.Iz @ Utot_h @ M @ Utot
+    PA = (P.reshape(n_variants, -1, d) @ A).reshape(P.shape)
     phase = 2 * np.diff((PA * P.conj()).sum(-1) @ m, axis=1).imag   # (Y_k)_aa from P_k A
     L = lam[..., :, None] - lam[..., None, :]
     C = (-1j * dt * h.conj()[..., :, None] * h[..., None, :] * np.sinc(dt * L / (2 * np.pi))
          * (np.swapaxes(V, -1, -2) @ ops.Ix.real @ V))
     B = Wh @ P[:, :-1]
-    BA = (B.reshape(n_variants, -1, sys.d) @ A).reshape(B.shape)
+    BA = (B.reshape(n_variants, -1, d) @ A).reshape(B.shape)
     amp = 2 * np.einsum("vkij,vkji->vk", C, BA @ np.swapaxes(B, -1, -2).conj()).real
     return -F, -np.stack([amp, phase], axis=-1).ravel() / n_variants
 
 
 def _problem(sys, nmr, target_state):
-    """(ops, H_static, rho0, target): H_static leaves out the RF term, so it is
-    diagonal and commutes with Iz, as the propagators' phase rule needs; rho0 is
-    the Iz deviation, target is the target state's deviation."""
+    """(H_static, ops, target): H_static leaves out the RF term, so it is diagonal
+    and commutes with Iz, as the propagators' phase rule needs; target is the
+    target state's deviation."""
+    if not (np.shape(target_state) == (sys.d,) and np.isfinite(target_state).all()
+            and np.any(target_state)):
+        raise ValueError(f"target_state must be a finite, nonzero vector of length {sys.d}")
     ops = angular_momentum(sys)
     H_static = nmr_hamiltonian(sys, NmrParams(nmr.omega_L, nmr.omega_RF, nmr.omega_Q))
-    return ops, H_static, ops.Iz, traceless_part(projector(target_state))
+    return H_static, ops, traceless_part(projector(target_state))
 
 
 class _BudgetSpent(Exception):
@@ -174,9 +177,8 @@ class SmpResult:
 def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg):
     """The objective and gradient optimize_smp minimises, exposed for
     finite-difference checks; x carries the RF, so nmr's RF term is ignored."""
-    ops, H_static, rho0, target = _problem(sys, nmr, target_state)
-    return _objective_and_gradient(np.asarray(x, float), sys, H_static, ops,
-                                   delta_t, rho0, target, n_variants, n_seg)
+    return _objective_and_gradient(np.asarray(x, float), *_problem(sys, nmr, target_state),
+                                   delta_t, n_variants, n_seg)
 
 
 def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
@@ -205,7 +207,7 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         raise ValueError(f"delta_t must be finite and positive, got {delta_t}")
     if not (0 <= budget < np.inf and budget == round(budget)):
         raise ValueError(f"budget must be a non-negative integer, got {budget}")
-    ops, H_static, rho0, target = _problem(sys, nmr, target_state)
+    args = (*_problem(sys, nmr, target_state), delta_t, n_variants, n_segments)
     rng = np.random.default_rng(seed)
     shape = (n_variants, n_segments)
 
@@ -213,7 +215,6 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         return np.stack([rng.uniform(0.3, 1.0, size=shape) * amplitude_cap,
                          rng.uniform(0, 2 * np.pi, size=shape)], axis=-1).ravel()
 
-    args = (sys, H_static, ops, delta_t, rho0, target, n_variants, n_segments)
     history, values, starts = [], [], []
     best_f, best_x = np.inf, None
 

@@ -21,6 +21,8 @@ def coherent_state(sys: SpinSystem, vartheta: float, varphi: float) -> np.ndarra
     """
     if not (0 <= vartheta <= np.pi):
         raise ValueError("vartheta must lie in [0, pi]")
+    if not np.isfinite(varphi):
+        raise ValueError("varphi must be finite")
     twoI = round(2 * sys.I)
     n = np.arange(twoI, -1, -1)  # I+m, ordered 2I .. 0
     s, c = np.sin(vartheta / 2), np.cos(vartheta / 2)

@@ -23,14 +23,14 @@ is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 
 "fid" mode detects the lines at the start of acquisition, after they
 have precessed through the receiver-protection delay 1/nu_Q.  This is
 the exact closed form of a noise-free least-squares fit of the sampled
-free induction decay to the known line frequencies; T2 decay cancels in
-that fit.  The line at (nu_Q/2)(2m+1) turns through pi(2m+1) in that
-delay, a sign (-1)^d for every line at every nu_Q, so no map depends on
-the NMR parameters.
+free induction decay (4,096 points, 12 us apart) to the known line
+frequencies; T2 decay cancels in that fit.  The line at (nu_Q/2)(2m+1)
+turns through pi(2m+1) in that delay, a sign (-1)^d for every line at
+every nu_Q, so no map depends on the NMR parameters.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +39,6 @@ from .spin_ops import (SpinSystem, _wigner_d_rows, angular_momentum, from_tensor
                        require_hermitian, tensor_band, tensor_coefficients, tensor_keys)
 from .dynamics import NmrParams
 
-# Acquisition that "fid" mode stands for: FID_POINTS samples FID_DWELL apart.
-FID_POINTS = 4096
-FID_DWELL = 12e-6
 SVD_CUTOFF = 1e-10
 COND_WARN = 1e6
 
@@ -64,18 +61,19 @@ class SpectrumLines:
 
 @dataclass(frozen=True)
 class DesignSystem:
-    keys: list                # (K, Q) column labels
+    keys: tuple               # (K, Q) column labels
     condition_number: float
     rank: int
     n_rows: int               # n_cycles 2I lines plus the trace row
     solve: tuple              # (P, cols, rows) per stack: zero-padded block pseudo-inverses,
                               # the columns they fill and the B entries they read
     stacks: tuple             # (M, rows, cols) per stack: the map's zero-padded diagonal blocks
+    weak_keys: tuple          # (K, Q) outside the span of the kept right singular vectors
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The read-only (n_rows, d^2) map in tensor coordinates, assembled on first use from
-        the stacks, whose padding writes zeros to a spare row and column."""
+        """The read-only (n_rows, d^2) map, assembled on each access from the stacks, whose
+        padding writes zeros to a spare row and column: cached designs keep no dense map."""
         A = np.zeros((self.n_rows + 1, len(self.keys) + 1), dtype=complex)
         for M, rows, cols in self.stacks:
             A[rows[..., None], cols[:, None]] = M
@@ -144,13 +142,13 @@ def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _closed_form(sys: SpinSystem, cycles, mode: str):
+def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
     """A pulse set's map (module docstring), compiled and factored once per (spin, cycles,
-    mode) into read-only (stacks, solve, condition number, rank, weak).  The stacks
+    mode) into a read-only DesignSystem, whatever its rank.  The stacks
     (M, rows, cols) zero-pad its diagonal blocks: every block but the widest, and the widest;
     padded rows and columns point at a spare entry past the end.  One SVD per stack gives the
     rank (sigma > SVD_CUTOFF sigma_max, padding adds sigma ~ 1e-16 sigma_max), the conditioning,
-    the block pseudo-inverses (P, cols, rows) and weak, the columns outside the span of the kept
+    the block pseudo-inverses (P, cols, rows) and the weak keys, outside the span of the kept
     right singular vectors.  Phase sums below 1e-12 are exact zeros, as sums of roots of unity."""
     gG = _line_gains(sys, mode)
     if not cycles:
@@ -201,11 +199,12 @@ def _closed_form(sys: SpinSystem, cycles, mode: str):
         solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
                       cols, rows))
         weak[cols] = 1 - (np.abs(Vh) ** 2 * k[..., None]).sum(axis=1) > 1e-12
-    for arr in [arr for part in stacks + solve for arr in part] + [weak]:
+    for arr in [arr for part in stacks + solve for arr in part]:
         arr.setflags(write=False)
     low = min(s[k].min() for (_, s, _), k in zip(runs, keep))
-    rank = int(sum(k.sum() for k in keep))
-    return tuple(stacks), tuple(solve), float(top / low), rank, weak[:-1]
+    keys = tuple(tensor_keys(sys))
+    return DesignSystem(keys, float(top / low), int(sum(k.sum() for k in keep)), n_rows,
+                        tuple(solve), tuple(stacks), tuple(k for k, w in zip(keys, weak) if w))
 
 
 def _apply(stacks, x: np.ndarray, n: int) -> np.ndarray:
@@ -248,8 +247,8 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     if not 0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     cycles = _PulseSetKey(map(tuple, cycles))
-    stacks = _closed_form(sys, cycles, mode)[0]
-    B = _apply(stacks, tensor_coefficients(sys, rho), len(cycles) * (sys.d - 1) + 1)
+    design = _closed_form(sys, cycles, mode)
+    B = _apply(design.stacks, tensor_coefficients(sys, rho), design.n_rows)
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / np.sqrt(
             [len(cycle) for cycle in cycles])
@@ -262,16 +261,12 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
-    """The pulse set's map, compiled and factored once (`_closed_form`), or a
-    TomographyRankError naming the weakly determined (K, Q) if its rank is short.  nmr is
-    not read, as in `measure`."""
-    cycles = _PulseSetKey(map(tuple, cycles))
-    stacks, solve, condition_number, rank, weak = _closed_form(sys, cycles, mode)
-    keys = tensor_keys(sys)
-    if rank < len(keys):
-        raise TomographyRankError(rank, len(keys), [k for k, w in zip(keys, weak) if w])
-    return DesignSystem(keys, condition_number, rank, len(cycles) * (sys.d - 1) + 1, solve,
-                        stacks)
+    """The cached design (`_closed_form`) that every equal pulse set shares, or a
+    TomographyRankError naming the weakly determined (K, Q) if its rank is short; nmr is unread."""
+    design = _closed_form(sys, _PulseSetKey(map(tuple, cycles)), mode)
+    if design.rank < len(design.keys):
+        raise TomographyRankError(design.rank, len(design.keys), list(design.weak_keys))
+    return design
 
 
 def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):

@@ -144,12 +144,12 @@ def test_schedule_matches_general_evolution(twoI, p, vartheta, varphi, checkpoin
 
 @pytest.mark.parametrize("bad", [{"p": 0.5}, {"p": 1.5}, {"nu_Q": 0.0}, {"nu_Q": -NU_Q},
                                  {"nu_Q": np.nan}, {"nu_Q": np.inf}, {"vartheta": -0.1},
-                                 {"vartheta": 3.2}])
+                                 {"vartheta": 3.2}, {"varphi": np.inf}, {"varphi": np.nan}])
 def test_schedule_refuses_bad_input(bad):
-    args = {"p": 1, "nu_Q": NU_Q, "vartheta": np.pi / 2, **bad}
+    args = {"p": 1, "nu_Q": NU_Q, "vartheta": np.pi / 2, "varphi": 0.0, **bad}
     with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
         free_evolution_schedule(SpinSystem(1.5), args["p"], args["nu_Q"], [0, 1],
-                                args["vartheta"])
+                                args["vartheta"], args["varphi"])
 
 
 def test_nmr_params_validation():

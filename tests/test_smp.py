@@ -342,3 +342,8 @@ def test_optimizer_input_validation(monkeypatch):
                         ("n_starts", -3)):
         with pytest.raises(ValueError, match=name):
             optimize_smp(SYS, NMR, target, **{"n_segments": 3, "delta_t": 1e-6, name: value})
+    # and a target state of the wrong length, zero or non-finite
+    for state in (target[:3], np.zeros(SYS.d), np.full(SYS.d, np.nan),
+                  np.array([1.0, np.inf, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="target_state"):
+            optimize_smp(SYS, NMR, state, n_segments=3, delta_t=1e-6)

@@ -13,8 +13,7 @@ from spincat.spin_ops import (SpinSystem, angular_momentum, from_tensor_coeffici
                               tensor_stack)
 from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
-from spincat.tomography import (FID_DWELL, FID_POINTS, TomographyPulse,
-                                TomographyRankError, build_design_matrix,
+from spincat.tomography import (TomographyPulse, TomographyRankError, build_design_matrix,
                                 coherence_cycle, measure, pulse_set, reconstruct,
                                 synthesize_spectrum, zero_order_cycle)
 
@@ -133,8 +132,6 @@ def test_fid_mode_defaults_and_consistency():
     # fid mode reads each line after the delay 1/nu_Q, through which it
     # precesses by e^{i pi (2m+1)}: +1 for half-integer spin, -1 for
     # integer spin; the closed form needs no decay or sampling parameters
-    assert FID_POINTS == 4096
-    assert FID_DWELL == 12e-6
     for spin, factor in ((1.5, 1.0), (2.0, -1.0)):
         sys = SpinSystem(spin)
         pulse = zero_order_cycle(sys)[0]
@@ -166,9 +163,9 @@ def test_run_tomography_pipeline(design):
 
 
 def test_fid_mode_aliased_lines_reconstruct():
-    # at nu_Q = 1/(2 dwell) the +nu_Q and -nu_Q lines alias in the sampled
-    # decay; the detected amplitudes still determine rho
-    nmr = NmrParams(0.0, 0.0, 2 * np.pi / (2 * FID_DWELL))
+    # at nu_Q = 1/(2 dwell), dwell = 12 us, the +nu_Q and -nu_Q lines alias in the
+    # sampled decay; the detected amplitudes still determine rho
+    nmr = NmrParams(0.0, 0.0, 2 * np.pi / (2 * 12e-6))
     rho, cycles = random_density(np.random.default_rng(7)), pulse_set(SYS)
     B = measure(SYS, rho, cycles, nmr, mode="fid")
     rec, _ = reconstruct(build_design_matrix(SYS, cycles, nmr, mode="fid"), B, SYS)
@@ -301,15 +298,15 @@ def test_pulse_sets_sharing_length_and_end_cycles_compile_apart():
 
 def test_equal_pulse_set_hits_compiled_map(monkeypatch):
     # value-equal cycles of new pulse objects, as lists or tuples, find the compiled map,
-    # factored with it: a warm build_design_matrix takes no SVD
-    build_design_matrix(SYS, pulse_set(SYS), NMR)
+    # factored with it: a warm build_design_matrix takes no SVD and returns the same design
+    design = build_design_matrix(SYS, pulse_set(SYS), NMR)
     misses = tomography._closed_form.cache_info().misses
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     fresh = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
                                        for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
     for cycles in (pulse_set(SYS), fresh, tuple(map(tuple, fresh))):
-        build_design_matrix(SYS, cycles, NMR)
+        assert build_design_matrix(SYS, cycles, NMR) is design
         measure(SYS, random_density(np.random.default_rng(17)), cycles, NMR)
     assert tomography._closed_form.cache_info().misses == misses
     assert not calls
@@ -353,7 +350,7 @@ def test_fid_map_is_signed_coherence_map(spin):
     # the delay 1/nu_Q turns the line at (nu_Q/2)(2m+1) by pi(2m+1): (-1)^d exactly
     sys = SpinSystem(spin)
     cycles = tuple(map(tuple, pulse_set(sys)))
-    fid, coherence = (tomography._closed_form.__wrapped__(sys, cycles, mode)[0]
+    fid, coherence = (tomography._closed_form.__wrapped__(sys, cycles, mode).stacks
                       for mode in ("fid", "coherence"))
     assert len(fid) == len(coherence)
     for (fid_M, fid_rows, fid_cols), (M, rows, cols) in zip(fid, coherence):
@@ -391,7 +388,7 @@ def compiled_map(sys, cycles, mode="coherence"):
     whose padded rows and columns, past the end, hold zeros."""
     n_rows, n_cols = len(cycles) * (sys.d - 1) + 1, sys.d ** 2
     A = np.zeros((n_rows, n_cols), dtype=complex)
-    for stack in tomography._closed_form.__wrapped__(sys, cycles, mode)[0]:
+    for stack in tomography._closed_form.__wrapped__(sys, cycles, mode).stacks:
         for M, rows, cols in zip(*stack):
             r, c = rows < n_rows, cols < n_cols
             assert not M[~r].any() and not M[:, ~c].any()
@@ -484,10 +481,13 @@ def test_rank_error_names_dense_null_keys(cycle_set, mode, spin):
     }[cycle_set]
     rank, null_keys = dense_null_keys(sys, rx_product_map(sys, cycles, mode))
     assert rank < sys.d ** 2 and null_keys
-    with pytest.raises(TomographyRankError) as exc:
-        build_design_matrix(sys, cycles, NMR, mode)
-    assert exc.value.rank == rank
-    assert exc.value.null_keys == null_keys
+    errors, hits = [], tomography._closed_form.cache_info().hits
+    for _ in range(2):   # the second build reads the cached rank-short design
+        with pytest.raises(TomographyRankError) as exc:
+            build_design_matrix(sys, cycles, NMR, mode)
+        errors.append((exc.value.rank, exc.value.needed, exc.value.null_keys))
+    assert errors == [(rank, sys.d ** 2, null_keys)] * 2
+    assert tomography._closed_form.cache_info().hits == hits + 1
 
 
 def test_spin_20_design_in_seconds():
