@@ -17,7 +17,7 @@ CONFIG_SCHEMA = {
         "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20},
         "nu_Q": {"type": "number", "minimum": 1},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "integer", "minimum": -2**53, "maximum": 2**53},  # exact as doubles
+        "p": {"type": "integer", "minimum": -2**53, "maximum": 2**53},  # integers doubles hold exactly
         "vartheta": {"type": "number", "minimum": 0, "maximum": np.pi},
         "varphi": {"type": "number"},
         "checkpoints": {

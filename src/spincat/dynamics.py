@@ -1,7 +1,8 @@
 """Rotating-frame Hamiltonians and exact unitary evolution.
 
 All Hamiltonians are stored divided by hbar (rad/s).  Propagators are built by eigendecomposition
-so they stay unitary to rounding; the resonant schedule, diagonal in m, takes one phase per level.
+so they stay unitary to rounding; the resonant schedule, diagonal in m, takes one power of i
+per level.
 """
 
 from dataclasses import dataclass
@@ -75,10 +76,19 @@ def cat_time(nu_Q: float) -> float:
 
 def free_evolution_schedule(sys: SpinSystem, p: int, nu_Q: float, checkpoints,
                             vartheta: float = np.pi / 2, varphi: float = 0.0):
-    """Deviation matrices of an initial coherent state after free evolution at the requested
-    multiples of t_S (formed exactly) under the resonant nonlinear Hamiltonian.  That is
-    diagonal with levels h, so psi_k = e^{-i h k t_S} psi_0 and rho_k = psi_k psi_k^dag."""
-    times = np.array(checkpoints, dtype=float)[:, None] * cat_time(nu_Q)
-    h = effective_hamiltonian(sys, 2 * np.pi * nu_Q, p).diagonal().real
-    psi = np.exp(-1j * h * times) * coherent_state(sys, vartheta, varphi)
+    """Deviation matrices of an initial coherent state after free evolution for the requested
+    integer multiples k of t_S under the resonant nonlinear Hamiltonian.  Level m turns through
+    (pi/2) k (p m - m^2) plus a global phase that rho_k = psi_k psi_k^dag drops, so level
+    j = I - m gains i^(k j (2I - j - p)) relative to m = I: exact powers of i, with k and p
+    reduced mod 4 as ints, so the schedule keeps its period 4 in both for any size."""
+    cat_time(nu_Q)   # refuses a bad nu_Q; the phases are the same for every nu_Q
+    if not float(p).is_integer():
+        raise ValueError("p must be an integer")
+    checkpoints = list(checkpoints)   # read twice: checked, then reduced
+    if not all(float(k).is_integer() for k in checkpoints):
+        raise ValueError("checkpoints must be finite integers")
+    j = np.arange(sys.d)
+    ks = np.array([int(k) % 4 for k in checkpoints], dtype=int)
+    quarter_turns = np.outer(ks, j * (sys.d - 1 - j - round(p) % 4)) % 4
+    psi = np.array([1, 1j, -1, -1j])[quarter_turns] * coherent_state(sys, vartheta, varphi)
     return list(psi[:, :, None] * psi[:, None].conj())

@@ -49,11 +49,13 @@ def cat_state(sys: SpinSystem, vartheta: float, varphi: float, p: int) -> np.nda
 
     delta = -pi (2I + p)/2 and G = exp[i pi (I(I+1)/3 - I^2 - p I)/2].
     The result equals the propagated coherent state elementwise (including
-    the global phase), so it is normalized for every vartheta.
+    the global phase), so it is normalized for every vartheta.  p + 8 turns G
+    by e^{-4 pi i I} = 1 and delta by -4 pi, so p is reduced mod 8 as an int
+    first and the state is exact for any p.
     """
-    if p != round(p):
+    if not float(p).is_integer():
         raise ValueError("p must be an integer")
-    p = round(p)
+    p = round(p) % 8
     I = sys.I
     delta = -np.pi * (2 * I + p) / 2
     G = np.exp(1j * np.pi * (I * (I + 1) / 3 - I * I - p * I) / 2)

@@ -59,7 +59,7 @@ class SpectrumLines:
             raise ValueError("frequency/amplitude length mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # one shared object per pulse set: identity is equality
 class DesignSystem:
     keys: tuple               # (K, Q) column labels
     condition_number: float

@@ -140,18 +140,3 @@ def write_csv(grid: WignerGrid, sys: SpinSystem, path):
         for th, row in zip(map("{:.17g}".format, grid.theta.tolist()), grid.values.tolist()):
             f.write("".join([f"{th},{ph},{w:.17g}\n" for ph, w in zip(phis, row)]))
 
-
-def read_csv(path):
-    """Inverse of write_csv; returns (I, WignerGrid)."""
-    with open(path) as f:
-        meta = f.readline().strip().lstrip("# ").split()
-        kv = dict(item.split("=") for item in meta)
-        I = float(kv["I"])
-        n_theta, n_phi = int(kv["n_theta"]), int(kv["n_phi"])
-        f.readline()
-        data = np.loadtxt(f, delimiter=",")
-    theta = data[::n_phi, 0]
-    phi = data[:n_phi, 1]
-    values = data[:, 2].reshape(n_theta, n_phi)
-    _, wtheta, _ = _grid_nodes(n_theta, n_phi)
-    return I, WignerGrid(theta, phi, values, wtheta)

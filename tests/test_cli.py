@@ -327,6 +327,16 @@ def test_integral_floats_run_like_integers(tmp_path):
             ExperimentConfig(**{**ints, key: value})
 
 
+def test_checkpoints_a_multiple_of_four_apart_write_the_same_bytes(tmp_path):
+    # the schedule has period 4 in k at any size, up to the schema's 2^53 bound
+    cfg = {**GOOD, "checkpoints": [1, 5, 4503599627370497], "n_theta": 16, "n_phi": 16}
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    for name in ("rho_{}.json", "wigner_{}.csv"):
+        first, *rest = ((out / name.format(k)).read_bytes() for k in cfg["checkpoints"])
+        assert all(other == first for other in rest)
+
+
 def test_cli_run_noise_free_fidelity(tmp_path):
     cfg = {**GOOD, "checkpoints": [1], "n_theta": 16, "n_phi": 16}
     p = write_config(tmp_path, cfg)

@@ -1,5 +1,9 @@
 """Hamiltonian builders and exact evolution."""
 
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +120,7 @@ def test_analytic_vs_numeric_sweep(I, p):
 def test_free_evolution_schedule():
     sys = SpinSystem(1.5)
     devs = free_evolution_schedule(sys, 1, NU_Q, [0, 1, 2])
+    assert np.array_equal(devs, free_evolution_schedule(sys, 1, NU_Q, (k for k in [0, 1, 2])))
     rho0 = projector(coherent_state(sys, np.pi / 2, 0))
     assert np.allclose(devs[0], rho0, atol=1e-12)
     assert fidelity(devs[1], projector(cat_state(sys, np.pi / 2, 0, 1))) > 1 - 1e-12
@@ -123,32 +128,62 @@ def test_free_evolution_schedule():
     assert abs(np.trace(devs[2] @ devs[2]).real - 1) < 1e-10
 
 
+def _exact_schedule(sys, p, k, vartheta, varphi):
+    """rho_k from the phases pi k (p m - m^2) / 2, formed as Fractions and reduced mod 2 pi."""
+    m = [Fraction(round(2 * sys.I) - 2 * j, 2) for j in range(sys.d)]
+    phases = [cmath.exp(1j * math.pi * float(Fraction(k) * (p * mj - mj * mj) / 2 % 2))
+              for mj in m]
+    psi = np.array(phases) * coherent_state(sys, vartheta, varphi)
+    return projector(psi)
+
+
 @settings(max_examples=200, deadline=None)
 @given(twoI=st.integers(1, 40), p=st.integers(-3, 3),
        vartheta=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi)),
        varphi=st.floats(-1e6, 1e6), checkpoints=st.lists(st.integers(0, 8), max_size=5))
 def test_schedule_matches_general_evolution(twoI, p, vartheta, varphi, checkpoints):
-    # the closed-form phases agree with exp(-i H t) of the same Hamiltonian at every checkpoint
+    # the schedule is exact, and exp(-i H t) of the same Hamiltonian agrees with it up to the
+    # rounding of its own phases h k t_S, which grows with the largest level |h| and with k
     sys = SpinSystem(twoI / 2)
     rho0 = projector(coherent_state(sys, vartheta, varphi))
     H = effective_hamiltonian(sys, OMEGA_Q, p)
+    h_max = np.abs(H.diagonal()).max()
     devs = free_evolution_schedule(sys, p, NU_Q, checkpoints, vartheta, varphi)
     assert len(devs) == len(checkpoints)
     for k, rho in zip(checkpoints, devs):
         assert rho.shape == (sys.d, sys.d)
-        assert np.abs(rho - evolve(rho0, H, k * cat_time(NU_Q))).max() < 1e-13
+        assert np.abs(rho - _exact_schedule(sys, p, k, vartheta, varphi)).max() < 1e-15
+        phase_rounding = 2 * np.finfo(float).eps * h_max * k * cat_time(NU_Q)
+        assert np.abs(rho - evolve(rho0, H, k * cat_time(NU_Q))).max() < 1e-13 + phase_rounding
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert abs(np.trace(rho) - 1) < 1e-12
         assert abs(np.trace(rho @ rho) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 10**6, 2**40, 2**50])
+def test_schedule_period_four_in_k_and_p(N):
+    # the phases are powers of i with k and p reduced mod 4, so no size of either blurs them
+    for twoI in range(1, 41):
+        sys = SpinSystem(twoI / 2)
+        for p in (-3, 0, 1, 2):
+            base = free_evolution_schedule(sys, p, NU_Q, [0, 1, 2, 3], 0.7, 0.3)
+            later = free_evolution_schedule(sys, p, NU_Q, [4 * N, 1 + 4 * N, 2 + 4 * N, 3 + 4 * N],
+                                            0.7, 0.3)
+            shifted = free_evolution_schedule(sys, p + 4 * N, NU_Q, [0, 1, 2, 3], 0.7, 0.3)
+            for a, b, c in zip(base, later, shifted):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
 @pytest.mark.parametrize("bad", [{"p": 0.5}, {"p": 1.5}, {"nu_Q": 0.0}, {"nu_Q": -NU_Q},
                                  {"nu_Q": np.nan}, {"nu_Q": np.inf}, {"vartheta": -0.1},
-                                 {"vartheta": 3.2}, {"varphi": np.inf}, {"varphi": np.nan}])
+                                 {"vartheta": 3.2}, {"varphi": np.inf}, {"varphi": np.nan},
+                                 {"checkpoints": [np.nan]}, {"checkpoints": [np.inf]},
+                                 {"checkpoints": [0.5]}])
 def test_schedule_refuses_bad_input(bad):
-    args = {"p": 1, "nu_Q": NU_Q, "vartheta": np.pi / 2, "varphi": 0.0, **bad}
+    args = {"p": 1, "nu_Q": NU_Q, "checkpoints": [0, 1], "vartheta": np.pi / 2, "varphi": 0.0,
+            **bad}
     with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
-        free_evolution_schedule(SpinSystem(1.5), args["p"], args["nu_Q"], [0, 1],
+        free_evolution_schedule(SpinSystem(1.5), args["p"], args["nu_Q"], args["checkpoints"],
                                 args["vartheta"], args["varphi"])
 
 

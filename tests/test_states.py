@@ -98,9 +98,17 @@ def test_cat_state_normalized():
     assert abs(np.linalg.norm(cat_state(sys, 1.1, 0.7, 1)) - 1) < 1e-13
 
 
+def test_cat_state_exact_for_large_p():
+    # p is reduced mod 8 as an int, so a large p gives the bits of its residue
+    sys = SpinSystem(1.5)
+    assert np.array_equal(cat_state(sys, np.pi / 2, 0.3, 1 + 8 * 2**40),
+                          cat_state(sys, np.pi / 2, 0.3, 1))
+
+
 def test_cat_rejects_non_integer_p():
-    with pytest.raises(ValueError):
-        cat_state(SpinSystem(1.5), np.pi / 2, 0.0, 0.5)
+    for p in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="p must"):
+            cat_state(SpinSystem(1.5), np.pi / 2, 0.0, p)
 
 
 def test_fidelity_properties():

@@ -312,6 +312,17 @@ def test_equal_pulse_set_hits_compiled_map(monkeypatch):
     assert not calls
 
 
+def test_designs_compare_by_identity():
+    # one design is shared per pulse set, so equality is identity: comparing two designs
+    # must not compare their arrays, and a design can be hashed
+    coherence, fid = (build_design_matrix(SYS, pulse_set(SYS), NMR, mode)
+                      for mode in ("coherence", "fid"))
+    assert coherence != fid and not coherence == fid
+    assert len({coherence, fid, coherence}) == 2
+    assert build_design_matrix(SYS, pulse_set(SYS), NMR) is build_design_matrix(
+        SYS, pulse_set(SYS), NMR)
+
+
 @pytest.mark.parametrize("call", ["measure", "build_design_matrix"])
 def test_empty_pulse_set_is_refused(call):
     with pytest.raises(ValueError, match="the pulse set has no cycles"):
