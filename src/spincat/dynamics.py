@@ -44,7 +44,7 @@ def effective_hamiltonian(sys: SpinSystem, omega_Q: float, p: int) -> np.ndarray
     """Resonant nonlinear Hamiltonian -(wQ/2)(p Iz - Iz^2 + I^2/3), the
     on-resonance limit of the rotating-frame Hamiltonian with the carrier
     tuned p half-quadrupolar-splittings below the Larmor frequency."""
-    if p != round(p):
+    if not float(p).is_integer():
         raise ValueError("p must be an integer")
     ops = angular_momentum(sys)
     return -omega_Q / 2 * (p * ops.Iz - ops.Iz @ ops.Iz + ops.Isq / 3)

@@ -69,6 +69,7 @@ class DesignSystem:
                               # the columns they fill and the B entries they read
     stacks: tuple             # (M, rows, cols) per stack: the map's zero-padded diagonal blocks
     weak_keys: tuple          # (K, Q) outside the span of the kept right singular vectors
+    sqrt_pulses: np.ndarray   # (n_cycles,) sqrt(N_c) of each cycle's N_c pulses, the noise divisor
 
     @property
     def matrix(self) -> np.ndarray:
@@ -114,16 +115,21 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
 
 
 def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
-    """Full rotation/phase-cycling set: the literature zero-order quadruple
-    plus cycles for every order at each nutation angle.
+    """Full rotation/phase-cycling set: the literature zero-order quadruple plus cycles for every
+    order at each nutation angle, fresh lists of pulses built once per (spin, angles).
 
     Two nutation angles are required: an exact pi/2 pulse is blind to the
     tensor components whose reduced rotation elements d^L_{+-1,m}(pi/2)
     vanish (e.g. rank 2, m = 0), so a second angle fills those in.
     """
-    twoI = round(2 * sys.I)
-    return [zero_order_cycle(sys)] + [coherence_cycle(sys, q, theta) for theta in nutation_angles
-                                      for q in range(-twoI, twoI + 1)]
+    return [list(cycle) for cycle in _pulse_cycles(sys, tuple(nutation_angles))]
+
+
+@lru_cache(maxsize=4)
+def _pulse_cycles(sys: SpinSystem, nutation_angles: tuple) -> tuple:
+    n = round(2 * sys.I)
+    return tuple(map(tuple, [zero_order_cycle(sys)] + [
+        coherence_cycle(sys, q, theta) for theta in nutation_angles for q in range(-n, n + 1)]))
 
 
 class _PulseSetKey(tuple):
@@ -199,12 +205,14 @@ def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
         solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
                       cols, rows))
         weak[cols] = 1 - (np.abs(Vh) ** 2 * k[..., None]).sum(axis=1) > 1e-12
-    for arr in [arr for part in stacks + solve for arr in part]:
+    sqrt_pulses = np.sqrt([len(cycle) for cycle in cycles])
+    for arr in [sqrt_pulses] + [arr for part in stacks + solve for arr in part]:
         arr.setflags(write=False)
     low = min(s[k].min() for (_, s, _), k in zip(runs, keep))
     keys = tuple(tensor_keys(sys))
     return DesignSystem(keys, float(top / low), int(sum(k.sum() for k in keep)), n_rows,
-                        tuple(solve), tuple(stacks), tuple(k for k, w in zip(keys, weak) if w))
+                        tuple(solve), tuple(stacks), tuple(k for k, w in zip(keys, weak) if w),
+                        sqrt_pulses)
 
 
 def _apply(stacks, x: np.ndarray, n: int) -> np.ndarray:
@@ -240,7 +248,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 
     noise_sigma is a fraction of the largest noise-free line over the whole set.  Every acquired
     spectrum carries complex Gaussian noise of that deviation per line, so a cycle of N pulses
-    carries noise_sigma / sqrt(N): one default_rng(seed) draw per cycle line, in cycle order.
+    carries noise_sigma / design.sqrt_pulses: one default_rng(seed) draw per cycle line, in order.
     No map depends on nmr (module docstring); it is kept for callers that pass it by position.
     """
     require_hermitian(rho, "density matrix")
@@ -250,8 +258,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     design = _closed_form(sys, cycles, mode)
     B = _apply(design.stacks, tensor_coefficients(sys, rho), design.n_rows)
     if noise_sigma > 0:
-        scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / np.sqrt(
-            [len(cycle) for cycle in cycles])
+        scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / design.sqrt_pulses
         # 1 / sqrt(2), not sqrt(0.5), which is one ulp larger and would change noisy outputs
         noise = np.random.default_rng(seed).normal(scale=1 / np.sqrt(2),
                                                    size=(len(cycles), sys.d - 1, 2))

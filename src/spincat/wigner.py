@@ -7,9 +7,13 @@ orthonormal tensor convention the map integrates to exactly Tr(rho).
 T_KQ lives on rho's Q-th diagonal and Y_KQ(theta, phi) = Y_KQ(theta, 0) e^{iQ phi}, so a map
 runs by order, as fast spherical-harmonic transforms do (Driscoll & Healy, Adv. Appl. Math. 15,
 202 (1994)): a kernel G[Q] = sqrt(d/4pi) Y[Q]^T band[Q], harmonics Y[Q, K, t] = Y_KQ(theta_t, 0)
-times spin_ops' tensor band, sums the ranks on the diagonals, and one product with e^{iQ phi}
-spreads the 4I + 1 orders, exact for any n_phi where an FFT would fold |Q| >= n_phi/2.  The
-nodes, G and e^{iQ phi} are built once per (2I, n_theta, n_phi) and kept read-only.
+times spin_ops' tensor band, sums the ranks on the diagonals.  As band[-Q, K, i] = (-1)^Q
+band[Q, K, i - Q] and Y_K,-Q = (-1)^Q Y_KQ, G[-Q, t, i] = G[Q, t, i - Q]: with u_Q, v_Q rho's
+Q-th super- and subdiagonals, s_Q = G[Q](u_Q + v_Q), t_Q = G[Q](u_Q - v_Q) and s_0 halved,
+W = sum_{Q >= 0} s_Q cos Q phi + i t_Q sin Q phi, and one real product of (Re s_Q, Im t_Q) with
+[cos Q phi; -sin Q phi] spreads the 4I + 1 orders, exact for any n_phi where an FFT would fold
+|Q| >= n_phi/2.  A map is refused on sum_Q hypot(Im s_Q, Re t_Q) >= |Im W|.  The nodes,
+G[Q >= 0] and the table are built once per (2I, n_theta, n_phi) and kept read-only.
 """
 
 from dataclasses import dataclass
@@ -17,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, _diagonal_pairs, _wigner_d_rows, require_hermitian,
-                       tensor_band, tensor_coefficients, tensor_keys)
+from .spin_ops import (SpinSystem, _wigner_d_rows, require_hermitian, tensor_band,
+                       tensor_coefficients, tensor_keys)
 
 MIN_GRID = 8
 
@@ -80,18 +84,21 @@ def _grid_nodes(n_theta, n_phi):
 
 @lru_cache(maxsize=4)
 def _grid_factors(twoI: int, n_theta: int, n_phi: int):
-    """Read-only (theta, weights, phi, G, idx, E) of a spin-2I/2 map on an n_theta x n_phi grid
-    for Q = -2I..2I, G as in the module docstring (Y, like the band, is 0 for K < |Q|), idx
-    the flat index of rho's diagonals from spin_ops' band, and E = e^{iQ phi}."""
+    """Read-only (theta, weights, phi, G, idx, CS) of a spin-2I/2 map on an n_theta x n_phi grid
+    for Q = 0..2I, G as in the module docstring with G[0] halved (Y, like the band, is 0 for
+    K < Q), idx[:, Q] the flat indices of u_Q and v_Q from spin_ops' band, and
+    CS = [cos Q phi, Q = 0..2I; -sin Q phi, Q = 1..2I]."""
     theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
     band, idx, _, _, _ = tensor_band(SpinSystem(twoI / 2))
-    orders = np.arange(-twoI, twoI + 1)
-    Y = _polar_harmonics(np.arange(twoI + 1), orders[:, None], theta)
-    G = Y.transpose(0, 2, 1) @ band * np.sqrt((twoI + 1) / (4 * np.pi))
-    E = np.exp(1j * np.outer(orders, phi))
-    for a in (theta, wtheta, phi, G, E):
+    orders = np.arange(twoI + 1)
+    Y = _polar_harmonics(orders, orders[:, None], theta)
+    G = Y.transpose(0, 2, 1) @ band[twoI:] * np.sqrt((twoI + 1) / (4 * np.pi))
+    G[0] /= 2
+    idx = np.stack((idx[twoI:], idx[twoI:] + twoI * orders[:, None]))   # v_Q lies 2I Q past u_Q
+    CS = np.concatenate((np.cos(np.outer(orders, phi)), -np.sin(np.outer(orders[1:], phi))))
+    for a in (theta, wtheta, phi, G, idx, CS):
         a.setflags(write=False)
-    return theta, wtheta, phi, G, idx, E
+    return theta, wtheta, phi, G, idx, CS
 
 
 def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
@@ -105,15 +112,20 @@ def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
 def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
                     n_phi: int = 128) -> WignerGrid:
     require_hermitian(rho, "density matrix")
+    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if not float(n).is_integer():
+            raise ValueError(f"{name} must be a finite integer, got {n!r}")
     if n_theta < MIN_GRID or n_phi < MIN_GRID:
         raise ValueError(f"grid sizes below {MIN_GRID} make the quadrature unreliable")
     if rho.shape != (sys.d, sys.d):
         raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    theta, wtheta, phi, G, idx, E = _grid_factors(round(2 * sys.I), n_theta, n_phi)
-    values = (G @ _diagonal_pairs(rho, idx)).view(complex)[..., 0].T @ E
-    if np.abs(values.imag).max() > 1e-10 * max(1.0, np.abs(values).max()):
+    theta, wtheta, phi, G, idx, CS = _grid_factors(round(2 * sys.I), int(n_theta), int(n_phi))
+    u, v = rho.take(idx, mode="clip").astype(complex, copy=False)   # off rho, G is 0
+    st = G @ np.stack((u + v, u - v), -1).view(float)   # [Q, t]: Re s, Im s, Re t, Im t
+    values = np.concatenate((st[..., 0], st[1:, :, 3])).T @ CS
+    if np.hypot(st[..., 1], st[..., 2]).sum(axis=0).max() > 1e-10 * max(1.0, np.abs(values).max()):
         raise ValueError("imaginary residue above 1e-10 max(1, |W|max): rho not Hermitian")
-    return WignerGrid(theta, phi, values.real, wtheta)
+    return WignerGrid(theta, phi, values, wtheta)
 
 
 def integrate_sphere(grid: WignerGrid) -> float:

@@ -45,6 +45,12 @@ def test_effective_hamiltonian_resonance_degeneracy():
     assert abs(e[1] - e[2]) < 1e-9   # m = +1/2 vs -1/2
 
 
+@pytest.mark.parametrize("p", [0.5, np.inf, -np.inf, np.nan])
+def test_effective_hamiltonian_refuses_non_integer_p(p):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        effective_hamiltonian(SpinSystem(1.5), OMEGA_Q, p)
+
+
 def test_satellite_line_gaps():
     # single-quantum transition frequencies of the pure quadrupolar
     # Hamiltonian sit at -nu_Q, 0, +nu_Q for I = 3/2

@@ -232,6 +232,42 @@ def test_noisy_measure_adds_cycle_mean_of_one_draw(spin):
     assert np.abs(noisy - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+def test_noisy_measure_divides_by_root_pulse_counts(mode):
+    # the design carries sqrt(N_c): the same bytes as sqrt taken of the cycles' lengths, on the
+    # built-in set and on cycles of mixed lengths
+    sys = SpinSystem(3.5)
+    rho = random_density(np.random.default_rng(18), sys.d)
+    mixed = pulse_set(sys)[:9] + [coherence_cycle(sys, q, np.pi / 3)[:9 + abs(q)]
+                                  for q in range(-7, 8)]
+    for cycles in (pulse_set(sys), mixed):
+        clean = measure(sys, rho, cycles, NMR, mode)
+        scale = max(np.abs(clean[:-1]).max(), 1e-300) * 0.03 / np.sqrt(
+            [len(cycle) for cycle in cycles])
+        noise = np.random.default_rng((6, 1)).normal(scale=1 / np.sqrt(2),
+                                                     size=(len(cycles), sys.d - 1, 2))
+        clean[:-1] += (scale[:, None] * (noise[..., 0] + 1j * noise[..., 1])).ravel()
+        noisy = measure(sys, rho, cycles, NMR, mode, noise_sigma=0.03, seed=(6, 1))
+        assert np.array_equal(noisy, clean)
+        design = tomography._closed_form(sys, tomography._PulseSetKey(map(tuple, cycles)), mode)
+        assert not design.sqrt_pulses.flags.writeable
+
+
+def test_pulse_set_returns_fresh_lists():
+    # the pulses are built once per (spin, angles); each call hands out new lists of them
+    first = pulse_set(SYS)
+    want = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
+                                      for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
+    assert first == want
+    first[0].append(TomographyPulse(0.1, 0.2, 0.3))
+    first[1][0] = TomographyPulse(0.4, 0.5, 0.6)
+    first.pop()
+    second = pulse_set(SYS)
+    assert second == want and second is not first and second[1] is not first[1]
+    assert all(a is b for a, b in zip(second[2], pulse_set(SYS)[2]))
+    assert pulse_set(SYS, [np.pi / 2]) == want[:8]
+
+
 def test_noisy_measure_has_cycle_mean_law():
     # over many seeds each cycle line's noise has variance scale^2 / N_c (a chi-square of
     # 2 x seeds degrees of freedom, held to 5 sigma) with uncorrelated real and imaginary parts

@@ -2,6 +2,7 @@
 
 import decimal
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +211,22 @@ def test_minimum_grid_size():
         wigner_function(sys, rho, 64, 4)
 
 
+@pytest.mark.parametrize("name, n", [("n_theta", 64.5), ("n_phi", 128.5), ("n_theta", np.nan),
+                                     ("n_phi", np.inf), ("n_phi", -np.inf)])
+def test_grid_sizes_must_be_finite_integers(name, n):
+    # refused by name before any grid factor is built; integral values of any type map alike
+    sys = SpinSystem(1.5)
+    rho = projector(cat_state(sys, np.pi / 2, 0.0, 1))
+    wigner._grid_factors.cache_clear()
+    with pytest.raises(ValueError, match=f"{name} must be a finite integer"):
+        wigner_function(sys, rho, **{name: n})
+    assert wigner._grid_factors.cache_info().currsize == 0
+    want = wigner_function(sys, rho, 16, 17).values
+    for n_theta, n_phi in [(np.int64(16), np.int32(17)), (16.0, 17.0)]:
+        grid = wigner_function(sys, rho, n_theta, n_phi)
+        assert grid.values.shape == (16, 17) and np.array_equal(grid.values, want)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (16,)])
 def test_density_matrix_shape_checked(shape):
     # the map gathers rho's diagonals by flat index, so a wrong shape must not reach it
@@ -249,31 +266,34 @@ def test_csv_matches_cell_by_cell_format(tmp_path):
 
 
 def uncached_map(sys, rho, n_theta, n_phi):
-    """The order-by-order synthesis with every grid factor built afresh: the kernel
-    G[Q, t, i] from each order's band of the stack, times rho's Q-th diagonal."""
+    """The half-kernel synthesis with every grid factor built afresh: the kernel G[Q, t, i],
+    Q >= 0 and G[0] halved, from each order's band of the stack, times rho's Q-th super- and
+    subdiagonals u_Q + v_Q and u_Q - v_Q, spread by cos Q phi and -sin Q phi."""
     theta, _, phi = _grid_nodes(n_theta, n_phi)
     K, Q = np.array(tensor_keys(sys)).T
     Y = _polar_harmonics(K, Q, theta)
-    orders = np.arange(1 - sys.d, sys.d)
-    G = np.zeros((len(orders), n_theta, sys.d))
-    diagonals = np.zeros((len(orders), sys.d), dtype=complex)
-    for g, v, q in zip(G, diagonals, orders):
-        on = slice(max(0, -q), sys.d - max(0, q))
+    orders = np.arange(sys.d)
+    G = np.zeros((sys.d, n_theta, sys.d))
+    diagonals = np.zeros((sys.d, sys.d, 2), dtype=complex)
+    for g, w, q in zip(G, diagonals, orders):
         band = np.diagonal(tensor_stack(sys)[Q == q].real, q, 1, 2)
-        g[:, on] = Y[Q == q].T @ np.ascontiguousarray(band)
-        v[on] = np.diagonal(rho, q)
+        g[:, :sys.d - q] = Y[Q == q].T @ np.ascontiguousarray(band)
+        u, v = np.diagonal(rho, q), np.diagonal(rho, -q)
+        w[:sys.d - q] = np.stack((u + v, u - v), -1)
     G *= np.sqrt(sys.d / (4 * np.pi))
-    pairs = G @ diagonals.view(float).reshape(len(orders), sys.d, 2)
-    return (pairs.view(complex)[..., 0].T @ np.exp(1j * np.outer(orders, phi))).real
+    G[0] /= 2
+    st = G @ diagonals.view(float)
+    table = np.concatenate((np.cos(np.outer(orders, phi)), -np.sin(np.outer(orders[1:], phi))))
+    return np.concatenate((st[..., 0], st[1:, :, 3])).T @ table
 
 
 def harmonic_sum_map(sys, rho, n_theta, n_phi):
-    """The map as a sum of all d^2 harmonics: c_KQ Y_KQ(theta, 0) e^{iQ phi}."""
+    """The complex map as a sum of all d^2 harmonics: c_KQ Y_KQ(theta, 0) e^{iQ phi}."""
     theta, _, phi = _grid_nodes(n_theta, n_phi)
     coeffs = tensor_stack(sys).reshape(sys.d ** 2, -1).conj() @ rho.ravel()
     K, Q = np.array(tensor_keys(sys)).T
     Y = _polar_harmonics(K, Q, theta)
-    return (np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))).real
+    return np.sqrt(sys.d / (4 * np.pi)) * (Y.T * coeffs) @ np.exp(1j * np.outer(Q, phi))
 
 
 @pytest.mark.parametrize("I", [0.5, 1, 1.5, 2, 3.5, 7.5, 12, 20])
@@ -283,7 +303,7 @@ def test_kernel_map_matches_harmonic_sum(I, n_theta, n_phi):
     sys = SpinSystem(I)
     rng = np.random.default_rng(round(4 * I))
     for rho in (random_density(sys, rng), projector(cat_state(sys, np.pi / 2, 0.0, 1))):
-        want = harmonic_sum_map(sys, rho, n_theta, n_phi)
+        want = harmonic_sum_map(sys, rho, n_theta, n_phi).real
         got = wigner_function(sys, rho, n_theta, n_phi).values
         assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
@@ -296,6 +316,31 @@ def test_imaginary_residue_guard_reads_the_map(monkeypatch, I):
     rho = np.random.default_rng(3).normal(size=(sys.d, sys.d, 2)) @ [1, 1j]
     with pytest.raises(ValueError, match="imaginary residue"):
         wigner_function(sys, rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twoI=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       log_eps=st.one_of(st.none(), st.floats(-17, 0)), scale=st.sampled_from([1.0, 1e5, 1e7]),
+       skew=st.sampled_from(["complex", "real", "imaginary"]),
+       n_theta=st.integers(8, 24), n_phi=st.integers(8, 24))
+def test_residue_guard_refuses_every_map_the_complex_map_shows(twoI, seed, log_eps, scale, skew,
+                                                                n_theta, n_phi):
+    # rho = H + eps A with the Hermiticity check switched off: the guard's bound, the sum over
+    # Q >= 0 of hypot(Im s_Q, Re t_Q), is at least |Im W| at every phi, so every map whose
+    # all-orders complex synthesis shows a residue above the threshold is refused, and an
+    # exactly Hermitian rho, at any scale, never is.  A real antisymmetric A shows only in
+    # Re t, an imaginary symmetric one only in Im s
+    sys = SpinSystem(twoI / 2)
+    R, S, X, Y = scale * np.random.default_rng(seed).normal(size=(4, sys.d, sys.d))
+    A = {"complex": R + 1j * S, "real": R - R.T, "imaginary": 1j * (S + S.T)}[skew]
+    rho = (X + 1j * Y + X.T - 1j * Y.T) / 2 + (0.0 if log_eps is None else 10.0 ** log_eps) * A
+    W = harmonic_sum_map(sys, rho, n_theta, n_phi)
+    with mock.patch.object(wigner, "require_hermitian", lambda *args: None):
+        if np.abs(W.imag).max() > 1e-10 * max(1.0, np.abs(W).max()):
+            with pytest.raises(ValueError, match="imaginary residue"):
+                wigner_function(sys, rho, n_theta, n_phi)
+        elif log_eps is None:
+            wigner_function(sys, rho, n_theta, n_phi)
 
 
 @pytest.mark.parametrize("I", [1.5, 3.5, 7.5, 20])
@@ -320,8 +365,8 @@ def test_spins_on_one_grid_keep_their_own_factors():
         rho = random_density(sys, rng)
         assert np.array_equal(wigner_function(sys, rho, 16, 16).values,
                               uncached_map(sys, rho, 16, 16))
-    assert wigner._grid_factors(3, 16, 16)[3].shape == (7, 16, 4)
-    assert wigner._grid_factors(4, 16, 16)[3].shape == (9, 16, 5)
+    assert wigner._grid_factors(3, 16, 16)[3].shape == (4, 16, 4)
+    assert wigner._grid_factors(4, 16, 16)[3].shape == (5, 16, 5)
 
 
 def test_grid_factors_built_once(monkeypatch):
