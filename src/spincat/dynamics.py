@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_ops import SpinSystem, angular_momentum, expm_hermitian, require_hermitian
+from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian, require_hermitian,
+                       require_integer)
 from .states import coherent_state
 
 
@@ -44,8 +45,7 @@ def effective_hamiltonian(sys: SpinSystem, omega_Q: float, p: int) -> np.ndarray
     """Resonant nonlinear Hamiltonian -(wQ/2)(p Iz - Iz^2 + I^2/3), the
     on-resonance limit of the rotating-frame Hamiltonian with the carrier
     tuned p half-quadrupolar-splittings below the Larmor frequency."""
-    if not float(p).is_integer():
-        raise ValueError("p must be an integer")
+    p = require_integer(p, "p")
     ops = angular_momentum(sys)
     return -omega_Q / 2 * (p * ops.Iz - ops.Iz @ ops.Iz + ops.Isq / 3)
 
@@ -82,13 +82,9 @@ def free_evolution_schedule(sys: SpinSystem, p: int, nu_Q: float, checkpoints,
     j = I - m gains i^(k j (2I - j - p)) relative to m = I: exact powers of i, with k and p
     reduced mod 4 as ints, so the schedule keeps its period 4 in both for any size."""
     cat_time(nu_Q)   # refuses a bad nu_Q; the phases are the same for every nu_Q
-    if not float(p).is_integer():
-        raise ValueError("p must be an integer")
-    checkpoints = list(checkpoints)   # read twice: checked, then reduced
-    if not all(float(k).is_integer() for k in checkpoints):
-        raise ValueError("checkpoints must be finite integers")
+    p = require_integer(p, "p")
+    ks = np.array([require_integer(k, "checkpoints") % 4 for k in checkpoints], dtype=int)
     j = np.arange(sys.d)
-    ks = np.array([int(k) % 4 for k in checkpoints], dtype=int)
-    quarter_turns = np.outer(ks, j * (sys.d - 1 - j - round(p) % 4)) % 4
+    quarter_turns = np.outer(ks, j * (sys.d - 1 - j - p % 4)) % 4
     psi = np.array([1, 1j, -1, -1j])[quarter_turns] * coherent_state(sys, vartheta, varphi)
     return list(psi[:, :, None] * psi[:, None].conj())

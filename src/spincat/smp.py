@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spin_ops import SpinSystem, angular_momentum, expm_hermitian
+from .spin_ops import SpinSystem, angular_momentum, expm_hermitian, require_integer
 from .states import projector, traceless_part
 from .dynamics import NmrParams, nmr_hamiltonian
 
@@ -197,16 +197,14 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
     """
     from scipy.optimize import minimize
 
-    for name, value in (("n_segments", n_segments), ("n_variants", n_variants),
-                        ("n_starts", n_starts)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    n_segments, n_variants, n_starts = (
+        require_integer(value, name, 1) for name, value in (
+            ("n_segments", n_segments), ("n_variants", n_variants), ("n_starts", n_starts)))
+    budget = require_integer(budget, "budget", 0)
     if not 0 < amplitude_cap < np.inf:
         raise ValueError(f"amplitude_cap must be finite and positive, got {amplitude_cap}")
     if not 0 < delta_t < np.inf:
         raise ValueError(f"delta_t must be finite and positive, got {delta_t}")
-    if not (0 <= budget < np.inf and budget == round(budget)):
-        raise ValueError(f"budget must be a non-negative integer, got {budget}")
     args = (*_problem(sys, nmr, target_state), delta_t, n_variants, n_segments)
     rng = np.random.default_rng(seed)
     shape = (n_variants, n_segments)

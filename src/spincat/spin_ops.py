@@ -36,11 +36,35 @@ class SpinSystem:
         return self.I - np.arange(self.d)
 
 
-def require_hermitian(M, what="operator"):
-    """Refuse M unless |M - M^dag|max <= HERMITICITY_TOL max(1, |M|max): relative, as a
-    Hamiltonian in rad/s carries round-off in proportion to its size."""
-    if not np.abs(M - M.conj().T).max() <= HERMITICITY_TOL * max(1.0, np.abs(M).max()):
+def require_hermitian(M, what="operator") -> float:
+    """Refuse M unless it is square and |M - M^dag|max <= HERMITICITY_TOL max(1, |M|max):
+    relative, as a Hamiltonian in rad/s carries round-off in proportion to its size.  Returns
+    that residual, measured on M's values as doubles, the precision every map reads them in
+    (so an int8 M cannot wrap to 0).  A Wigner map's imaginary residue is at most the residual
+    times c_G (1.04, 4.97, 25.3 and 242 at I = 3/2, 7/2, 15/2 and 20 on 64 x 128), so the map
+    sweeps its grid for that residue only where the product exceeds 1e-10 (wigner docstring)."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be a square 2-D array, got shape {M.shape}")
+    if M.dtype.char not in "dD":
+        M = M.astype(complex if M.dtype.kind == "c" else float)
+    residual = np.abs(M - M.conj().T).max()
+    if not residual <= HERMITICITY_TOL * max(1.0, np.abs(M).max()):
         raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL:g} of max(1, |M|max)")
+    return float(residual)
+
+
+def require_integer(value, name, minimum=None) -> int:
+    """value as an int, or a ValueError naming it.  One policy for every count, index and grid
+    size: ints and numpy integers pass, and so do integral floats (numpy's too), as a JSON
+    config may write 16.0; bools, which are flags and not numbers, fractions, NaN, infinities
+    and every other type are refused, as is a value below minimum."""
+    whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    n = int(value) if whole else value
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or minimum is not None and n < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 
-from .spin_ops import SpinSystem, require_hermitian
+from .spin_ops import SpinSystem, require_hermitian, require_integer
 
 # High-temperature polarization factor of the sodium-23 preset.
 NA23_EPSILON = 0.426e-5
@@ -53,9 +53,7 @@ def cat_state(sys: SpinSystem, vartheta: float, varphi: float, p: int) -> np.nda
     by e^{-4 pi i I} = 1 and delta by -4 pi, so p is reduced mod 8 as an int
     first and the state is exact for any p.
     """
-    if not float(p).is_integer():
-        raise ValueError("p must be an integer")
-    p = round(p) % 8
+    p = require_integer(p, "p") % 8
     I = sys.I
     delta = -np.pi * (2 * I + p) / 2
     G = np.exp(1j * np.pi * (I * (I + 1) / 3 - I * I - p * I) / 2)

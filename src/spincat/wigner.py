@@ -12,8 +12,15 @@ band[Q, K, i - Q] and Y_K,-Q = (-1)^Q Y_KQ, G[-Q, t, i] = G[Q, t, i - Q]: with u
 Q-th super- and subdiagonals, s_Q = G[Q](u_Q + v_Q), t_Q = G[Q](u_Q - v_Q) and s_0 halved,
 W = sum_{Q >= 0} s_Q cos Q phi + i t_Q sin Q phi, and one real product of (Re s_Q, Im t_Q) with
 [cos Q phi; -sin Q phi] spreads the 4I + 1 orders, exact for any n_phi where an FFT would fold
-|Q| >= n_phi/2.  A map is refused on sum_Q hypot(Im s_Q, Re t_Q) >= |Im W|.  The nodes,
-G[Q >= 0] and the table are built once per (2I, n_theta, n_phi) and kept read-only.
+|Q| >= n_phi/2.  A map is refused when sum_Q hypot(Im s_Q, Re t_Q) >= |Im W|, maxed over
+theta, exceeds 1e-10 max(1, |W|max).  (Re t_Q, Im s_Q) is G[Q] times D = rho - rho^dag on the
+Q-th diagonal, so that sum is at most res c_G, with res = max|D| as require_hermitian measured
+it and c_G = max_theta sum_Q,i |G[Q, theta, i]|: the sweep runs only where res c_G > 1e-10, the
+threshold's floor.  On 64 x 128, c_G is 1.04, 4.97, 25.3 and 242 at I = 3/2, 7/2, 15/2 and 20,
+so up to I = 15/2 no rho with |rho|max <= 1 that passes the 1e-12 Hermiticity check is swept;
+at I = 20, or at larger scales, one near that tolerance still is, and an exactly Hermitian rho
+(res = 0) never is.  The nodes, G[Q >= 0], the table and c_G are built once per
+(2I, n_theta, n_phi) and kept read-only.
 """
 
 from dataclasses import dataclass
@@ -21,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, _wigner_d_rows, require_hermitian, tensor_band,
-                       tensor_coefficients, tensor_keys)
+from .spin_ops import (SpinSystem, _wigner_d_rows, require_hermitian, require_integer,
+                       tensor_band, tensor_coefficients, tensor_keys)
 
 MIN_GRID = 8
 
@@ -84,10 +91,11 @@ def _grid_nodes(n_theta, n_phi):
 
 @lru_cache(maxsize=4)
 def _grid_factors(twoI: int, n_theta: int, n_phi: int):
-    """Read-only (theta, weights, phi, G, idx, CS) of a spin-2I/2 map on an n_theta x n_phi grid
-    for Q = 0..2I, G as in the module docstring with G[0] halved (Y, like the band, is 0 for
-    K < Q), idx[:, Q] the flat indices of u_Q and v_Q from spin_ops' band, and
-    CS = [cos Q phi, Q = 0..2I; -sin Q phi, Q = 1..2I]."""
+    """Read-only (theta, weights, phi, G, idx, CS, c_G) of a spin-2I/2 map on an n_theta x n_phi
+    grid for Q = 0..2I, G as in the module docstring with G[0] halved (Y, like the band, is 0 for
+    K < Q), idx[:, Q] the flat indices of u_Q and v_Q from spin_ops' band,
+    CS = [cos Q phi, Q = 0..2I; -sin Q phi, Q = 1..2I] and c_G = max_t sum_Q,i |G[Q, t, i]|, raised
+    by (d + 2)^2 eps for the rounding of the residual, of its product with c_G and of the sums."""
     theta, wtheta, phi = _grid_nodes(n_theta, n_phi)
     band, idx, _, _, _ = tensor_band(SpinSystem(twoI / 2))
     orders = np.arange(twoI + 1)
@@ -96,9 +104,10 @@ def _grid_factors(twoI: int, n_theta: int, n_phi: int):
     G[0] /= 2
     idx = np.stack((idx[twoI:], idx[twoI:] + twoI * orders[:, None]))   # v_Q lies 2I Q past u_Q
     CS = np.concatenate((np.cos(np.outer(orders, phi)), -np.sin(np.outer(orders[1:], phi))))
+    c_G = float(np.abs(G).sum(axis=(0, 2)).max()) * (1 + (twoI + 3) ** 2 * np.finfo(float).eps)
     for a in (theta, wtheta, phi, G, idx, CS):
         a.setflags(write=False)
-    return theta, wtheta, phi, G, idx, CS
+    return theta, wtheta, phi, G, idx, CS, c_G
 
 
 def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
@@ -111,19 +120,17 @@ def wigner_point(sys: SpinSystem, rho: np.ndarray, theta, phi):
 
 def wigner_function(sys: SpinSystem, rho: np.ndarray, n_theta: int = 64,
                     n_phi: int = 128) -> WignerGrid:
-    require_hermitian(rho, "density matrix")
-    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if not float(n).is_integer():
-            raise ValueError(f"{name} must be a finite integer, got {n!r}")
-    if n_theta < MIN_GRID or n_phi < MIN_GRID:
-        raise ValueError(f"grid sizes below {MIN_GRID} make the quadrature unreliable")
     if rho.shape != (sys.d, sys.d):
-        raise ValueError(f"density matrix must be {sys.d}x{sys.d}")
-    theta, wtheta, phi, G, idx, CS = _grid_factors(round(2 * sys.I), int(n_theta), int(n_phi))
+        raise ValueError(f"density matrix must be {sys.d}x{sys.d}, got shape {rho.shape}")
+    residual = require_hermitian(rho, "density matrix")
+    n_theta, n_phi = (require_integer(n, name, MIN_GRID)
+                      for name, n in (("n_theta", n_theta), ("n_phi", n_phi)))
+    theta, wtheta, phi, G, idx, CS, c_G = _grid_factors(round(2 * sys.I), n_theta, n_phi)
     u, v = rho.take(idx, mode="clip").astype(complex, copy=False)   # off rho, G is 0
     st = G @ np.stack((u + v, u - v), -1).view(float)   # [Q, t]: Re s, Im s, Re t, Im t
     values = np.concatenate((st[..., 0], st[1:, :, 3])).T @ CS
-    if np.hypot(st[..., 1], st[..., 2]).sum(axis=0).max() > 1e-10 * max(1.0, np.abs(values).max()):
+    if residual * c_G > 1e-10 and np.hypot(st[..., 1], st[..., 2]).sum(axis=0).max() > (
+            1e-10 * max(1.0, np.abs(values).max())):
         raise ValueError("imaginary residue above 1e-10 max(1, |W|max): rho not Hermitian")
     return WignerGrid(theta, phi, values, wtheta)
 

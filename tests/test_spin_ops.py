@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -9,11 +10,17 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from spincat.dynamics import NmrParams, nmr_hamiltonian
+from spincat.dynamics import (NmrParams, effective_hamiltonian, evolve, free_evolution_schedule,
+                              nmr_hamiltonian)
+from spincat.smp import optimize_smp
 from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, _wigner_d_rows, angular_momentum,
                               expm_hermitian, from_tensor_coefficients, reduced_wigner_d,
-                              require_hermitian, rotation_operator, spherical_tensor_basis,
-                              tensor_band, tensor_coefficients, tensor_keys, tensor_stack)
+                              require_hermitian, require_integer, rotation_operator,
+                              spherical_tensor_basis, tensor_band, tensor_coefficients,
+                              tensor_keys, tensor_stack)
+from spincat.states import cat_state, coherent_state, fidelity
+from spincat.tomography import measure, pulse_set
+from spincat.wigner import wigner_function, wigner_point
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0]
 
@@ -305,6 +312,80 @@ def test_hermiticity_tolerance_is_relative():
     rho = np.eye(sys.d) / sys.d + 1e-9j * np.ones((sys.d, sys.d))
     with pytest.raises(ValueError, match="not Hermitian"):
         require_hermitian(rho, "density matrix")
+
+
+def test_residual_is_measured_in_double_precision():
+    # the residual comes back for the Wigner map's residue bound; an int8 -128 - 0 = -128 and
+    # 0 - (-128) = 128, which int8 arithmetic wraps to -128 and |-128| again to -128, so
+    # measured in int8 this non-Hermitian matrix showed a residual of 0
+    H = np.array([[1.0, 2 + 1e-13j], [2, 3]])
+    assert require_hermitian(H) == abs(H[0, 1] - H[1, 0].conjugate())
+    assert require_hermitian(np.eye(3, dtype=np.float32)) == 0.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(np.array([[0, -128], [0, 0]], dtype=np.int8))
+
+
+SYS, NU_Q = SpinSystem(1.5), 15220.0
+NMR = NmrParams(0.0, 0.0, 2 * np.pi * NU_Q)
+RHO = np.eye(4, dtype=complex) / 4
+HERMITIAN_ENTRY_POINTS = {
+    "wigner_function": ("density matrix", lambda M: wigner_function(SYS, M)),
+    "wigner_point": ("density matrix", lambda M: wigner_point(SYS, M, 0.3, 0.4)),
+    "measure": ("density matrix", lambda M: measure(SYS, M, pulse_set(SYS), NMR)),
+    "fidelity": ("first argument", lambda M: fidelity(M, M)),
+    "evolve": ("Hamiltonian", lambda M: evolve(RHO, M, 1e-6)),
+}
+
+
+@pytest.mark.parametrize("entry", HERMITIAN_ENTRY_POINTS)
+@pytest.mark.parametrize("shape", [(4, 5), (1, 4, 4)])
+def test_non_square_matrices_are_refused_by_name_and_shape(entry, shape):
+    # refused before any arithmetic, naming the argument and its shape
+    name, call = HERMITIAN_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"{name} must be .*{re.escape(str(shape))}"):
+        call(np.zeros(shape))
+
+
+def smp_fidelity(**kwargs):
+    target = coherent_state(SYS, np.pi / 2, 0.0)
+    args = {"n_segments": 2, "delta_t": 1e-6, "budget": 2, "n_variants": 1, "n_starts": 1, **kwargs}
+    return optimize_smp(SYS, NMR, target, **args).fidelity
+
+
+# site -> (argument name, a valid value, the call with that argument set)
+INTEGER_SITES = {
+    "effective_hamiltonian": ("p", 3, lambda v: effective_hamiltonian(SYS, 1.0, v)),
+    "schedule_p": ("p", 3, lambda v: free_evolution_schedule(SYS, v, NU_Q, [1])[0]),
+    "schedule_checkpoints": ("checkpoints", 3,
+                             lambda v: free_evolution_schedule(SYS, 1, NU_Q, [v])[0]),
+    "cat_state": ("p", 3, lambda v: cat_state(SYS, np.pi / 2, 0.0, v)),
+    "wigner_n_theta": ("n_theta", 9, lambda v: wigner_function(SYS, RHO, v, 10).values),
+    "wigner_n_phi": ("n_phi", 9, lambda v: wigner_function(SYS, RHO, 10, v).values),
+    "smp_n_segments": ("n_segments", 3, lambda v: smp_fidelity(n_segments=v)),
+    "smp_n_variants": ("n_variants", 3, lambda v: smp_fidelity(n_variants=v)),
+    "smp_n_starts": ("n_starts", 3, lambda v: smp_fidelity(n_starts=v)),
+    "smp_budget": ("budget", 3, lambda v: smp_fidelity(budget=v)),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_argument_follows_one_policy(site):
+    # ints, numpy ints and integral floats give the int's result; bools, fractions, non-finite
+    # floats and other types are refused by the argument's name
+    name, n, call = INTEGER_SITES[site]
+    want = call(n)
+    for same in (np.int64(n), np.int32(n), float(n), np.float32(n)):
+        assert np.array_equal(call(same), want), same
+    for bad in (True, np.True_, n + 0.5, np.nan, np.inf, -np.inf, str(n), None):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(bad)
+
+
+def test_require_integer_states_its_minimum():
+    assert require_integer(np.float64(-4.0), "k") == -4 and type(require_integer(2**60, "k")) is int
+    for bad in (0, 0.0, False):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {bad!r}")):
+            require_integer(bad, "n", 1)
 
 
 def test_invalid_spin():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincat import wigner
+from spincat import spin_ops, wigner
 from spincat.spin_ops import (SpinSystem, euler_rotation_matrix, rotation_operator,
                               tensor_keys, tensor_stack)
 from spincat.states import cat_state, coherent_state, projector
@@ -218,7 +218,7 @@ def test_grid_sizes_must_be_finite_integers(name, n):
     sys = SpinSystem(1.5)
     rho = projector(cat_state(sys, np.pi / 2, 0.0, 1))
     wigner._grid_factors.cache_clear()
-    with pytest.raises(ValueError, match=f"{name} must be a finite integer"):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
         wigner_function(sys, rho, **{name: n})
     assert wigner._grid_factors.cache_info().currsize == 0
     want = wigner_function(sys, rho, 16, 17).values
@@ -310,37 +310,101 @@ def test_kernel_map_matches_harmonic_sum(I, n_theta, n_phi):
 
 @pytest.mark.parametrize("I", [1.5, 7.5])
 def test_imaginary_residue_guard_reads_the_map(monkeypatch, I):
-    # with the Hermiticity check switched off, the map itself still shows Im W
-    monkeypatch.setattr(wigner, "require_hermitian", lambda *args: None)
+    # with the Hermiticity check switched off (its residual unknown, so the sweep runs), the map
+    # itself still shows Im W
+    monkeypatch.setattr(wigner, "require_hermitian", lambda *args: np.inf)
     sys = SpinSystem(I)
     rho = np.random.default_rng(3).normal(size=(sys.d, sys.d, 2)) @ [1, 1j]
     with pytest.raises(ValueError, match="imaginary residue"):
         wigner_function(sys, rho)
 
 
-@settings(max_examples=150, deadline=None)
-@given(twoI=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
-       log_eps=st.one_of(st.none(), st.floats(-17, 0)), scale=st.sampled_from([1.0, 1e5, 1e7]),
-       skew=st.sampled_from(["complex", "real", "imaginary"]),
-       n_theta=st.integers(8, 24), n_phi=st.integers(8, 24))
-def test_residue_guard_refuses_every_map_the_complex_map_shows(twoI, seed, log_eps, scale, skew,
-                                                                n_theta, n_phi):
-    # rho = H + eps A with the Hermiticity check switched off: the guard's bound, the sum over
-    # Q >= 0 of hypot(Im s_Q, Re t_Q), is at least |Im W| at every phi, so every map whose
-    # all-orders complex synthesis shows a residue above the threshold is refused, and an
-    # exactly Hermitian rho, at any scale, never is.  A real antisymmetric A shows only in
-    # Re t, an imaginary symmetric one only in Im s
-    sys = SpinSystem(twoI / 2)
+# rho = H + eps A on a small grid: log-uniform eps or eps = 0, three scales, and A arbitrary,
+# real antisymmetric (seen only in Re t) or imaginary symmetric (seen only in Im s)
+PERTURBED = dict(twoI=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+                 log_eps=st.one_of(st.none(), st.floats(-17, 0)),
+                 scale=st.sampled_from([1.0, 1e5, 1e7]),
+                 skew=st.sampled_from(["complex", "real", "imaginary"]),
+                 n_theta=st.integers(8, 24), n_phi=st.integers(8, 24))
+
+
+def perturbed_rho(sys, seed, log_eps, scale, skew):
     R, S, X, Y = scale * np.random.default_rng(seed).normal(size=(4, sys.d, sys.d))
     A = {"complex": R + 1j * S, "real": R - R.T, "imaginary": 1j * (S + S.T)}[skew]
-    rho = (X + 1j * Y + X.T - 1j * Y.T) / 2 + (0.0 if log_eps is None else 10.0 ** log_eps) * A
+    return (X + 1j * Y + X.T - 1j * Y.T) / 2 + (0.0 if log_eps is None else 10.0 ** log_eps) * A
+
+
+@settings(max_examples=150, deadline=None)
+@given(**PERTURBED)
+def test_residue_guard_refuses_every_map_the_complex_map_shows(twoI, seed, log_eps, scale, skew,
+                                                                n_theta, n_phi):
+    # with the Hermiticity check switched off (its residual unknown, np.inf, so the sweep always
+    # runs): the guard's bound, the sum over Q >= 0 of hypot(Im s_Q, Re t_Q), is at least |Im W|
+    # at every phi, so every map whose all-orders complex synthesis shows a residue above the
+    # threshold is refused, and an exactly Hermitian rho, at any scale, never is
+    sys = SpinSystem(twoI / 2)
+    rho = perturbed_rho(sys, seed, log_eps, scale, skew)
     W = harmonic_sum_map(sys, rho, n_theta, n_phi)
-    with mock.patch.object(wigner, "require_hermitian", lambda *args: None):
+    with mock.patch.object(wigner, "require_hermitian", lambda *args: np.inf):
         if np.abs(W.imag).max() > 1e-10 * max(1.0, np.abs(W).max()):
             with pytest.raises(ValueError, match="imaginary residue"):
                 wigner_function(sys, rho, n_theta, n_phi)
         elif log_eps is None:
             wigner_function(sys, rho, n_theta, n_phi)
+
+
+def residue_sweep(sys, rho, n_theta, n_phi):
+    """The residue guard's sweep at every theta, sum_{Q >= 0} hypot(Im s_Q, Re t_Q), read off
+    the cached half kernel as wigner_function reads it."""
+    _, _, _, G, idx, _, _ = wigner._grid_factors(sys.d - 1, n_theta, n_phi)
+    u, v = rho.take(idx, mode="clip").astype(complex)
+    st = G @ np.stack((u + v, u - v), -1).view(float)
+    return np.hypot(st[..., 1], st[..., 2]).sum(axis=0)
+
+
+@pytest.mark.parametrize("I", [0.5, 1.5, 3.5, 7.5, 20])
+@pytest.mark.parametrize("n_theta,n_phi", [(64, 128), (9, 13)])
+def test_residue_bound_holds_and_is_reached(I, n_theta, n_phi):
+    # (Re t_Q, Im s_Q) is G[Q] times D = rho - rho^dag on the Q-th diagonal, so the sweep is at
+    # most res c_G, res = max|D|.  rho = H + i eps B, H real symmetric and B real symmetric with
+    # B[i, i+Q] = sign G[Q, t, i] at the theta t where sum_Q,i |G| peaks: D = 2 i eps B meets
+    # every G[Q, t] in phase there, so the sweep reaches res c_G up to c_G's rounding margin
+    sys = SpinSystem(I)
+    _, _, _, G, _, _, c_G = wigner._grid_factors(sys.d - 1, n_theta, n_phi)
+    top = np.abs(G).sum(axis=(0, 2)).argmax()
+    B = sum(np.diag(np.sign(g[:sys.d - q]), q) for q, g in enumerate(G[:, top]))
+    B = B + np.triu(B, 1).T
+    H = np.random.default_rng(round(2 * I)).normal(size=(sys.d, sys.d))
+    for scale, eps in [(1.0, 1e-13), (1e10, 1e-3)]:
+        rho = scale * (H + H.T) + 1j * eps * B
+        res = spin_ops.require_hermitian(rho)
+        assert res == 2 * eps
+        sweep = residue_sweep(sys, rho, n_theta, n_phi)
+        assert np.all(sweep <= res * c_G)
+        assert sweep[top] >= res * c_G * (1 - 1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**PERTURBED)
+def test_residue_guard_decides_as_the_forced_sweep(twoI, seed, log_eps, scale, skew, n_theta,
+                                                   n_phi):
+    # with the Hermiticity check on, the sweep is skipped where its residual proves the sweep
+    # passes; the map is refused, or not, and its values are, as when the sweep always runs
+    sys = SpinSystem(twoI / 2)
+    rho = perturbed_rho(sys, seed, log_eps, scale, skew)
+
+    def decision():
+        try:
+            return wigner_function(sys, rho, n_theta, n_phi).values
+        except ValueError as refusal:
+            return str(refusal)
+
+    checked = decision()
+    if isinstance(checked, str) and "not Hermitian" in checked:
+        return
+    with mock.patch.object(wigner, "require_hermitian", lambda *args: np.inf):
+        forced = decision()
+    assert type(checked) is type(forced) and np.array_equal(checked, forced)
 
 
 @pytest.mark.parametrize("I", [1.5, 3.5, 7.5, 20])
