@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .spin_ops import require_integer
 from .states import NA23_EPSILON
 
 CONFIG_SCHEMA = {
@@ -55,14 +56,16 @@ class ExperimentConfig:
     n_phi: int = 128
 
     def __post_init__(self):
-        # JSON Schema's "integer" takes integral floats such as 16.0: store ints
-        for key in ("p", "seed", "n_theta", "n_phi", "checkpoints"):
-            value = getattr(self, key)
-            ints = tuple(map(int, value)) if key == "checkpoints" else int(value)
-            if np.any(np.not_equal(ints, value)):
-                raise ConfigError(f"{key}: must be an integer, got {value!r}")
-            object.__setattr__(self, key, ints)
-        if round(2 * self.spin) != 2 * self.spin or self.spin <= 0:
+        # JSON Schema's "integer" takes integral floats such as 16.0: store ints, read by the
+        # library's one integer policy, which refuses bools, NaN and infinities by name
+        try:
+            for key in ("p", "seed", "n_theta", "n_phi"):
+                object.__setattr__(self, key, require_integer(getattr(self, key), key))
+            object.__setattr__(self, "checkpoints", tuple(
+                require_integer(k, "checkpoints") for k in self.checkpoints))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 0 < self.spin < np.inf or round(2 * self.spin) != 2 * self.spin:
             raise ConfigError("spin must be a positive integer or half-integer")
         # n Gauss-Legendre nodes are exact to degree 2n - 1; n azimuths alias |Q| >= n
         for key in ("n_theta", "n_phi"):

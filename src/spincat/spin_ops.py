@@ -23,7 +23,7 @@ class SpinSystem:
 
     def __post_init__(self):
         twoI = 2 * self.I
-        if abs(twoI - round(twoI)) > 1e-12 or round(twoI) < 1:
+        if not math.isfinite(twoI) or abs(twoI - round(twoI)) > 1e-12 or round(twoI) < 1:
             raise ValueError(f"2I must be a positive integer, got I={self.I}")
 
     @property
@@ -37,7 +37,7 @@ class SpinSystem:
 
 
 def require_hermitian(M, what="operator") -> float:
-    """Refuse M unless it is square and |M - M^dag|max <= HERMITICITY_TOL max(1, |M|max):
+    """Refuse M unless it is square, finite and |M - M^dag|max <= HERMITICITY_TOL max(1, |M|max):
     relative, as a Hamiltonian in rad/s carries round-off in proportion to its size.  Returns
     that residual, measured on M's values as doubles, the precision every map reads them in
     (so an int8 M cannot wrap to 0).  A Wigner map's imaginary residue is at most the residual
@@ -47,8 +47,11 @@ def require_hermitian(M, what="operator") -> float:
         raise ValueError(f"{what} must be a square 2-D array, got shape {M.shape}")
     if M.dtype.char not in "dD":
         M = M.astype(complex if M.dtype.kind == "c" else float)
+    size = np.abs(M).max()
+    if not np.isfinite(size):   # an infinite entry would make the tolerance infinite
+        raise ValueError(f"{what} has a non-finite entry")
     residual = np.abs(M - M.conj().T).max()
-    if not residual <= HERMITICITY_TOL * max(1.0, np.abs(M).max()):
+    if not residual <= HERMITICITY_TOL * max(1.0, size):
         raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL:g} of max(1, |M|max)")
     return float(residual)
 

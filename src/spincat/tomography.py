@@ -18,7 +18,9 @@ Reson. 58, 370 (1984)), so A is block-diagonal: cycles and orders linked through
 span one block, T_00 another with the trace row.  For `pulse_set` each order Q != 0 (mod 4)
 is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 4I + 2 -
 2 floor(I/2) blocks in all.  Each pulse set is compiled and factored once, block by block, and
-`measure` applies the same blocks to rho's tensor coefficients.
+`measure` applies the same blocks to rho's tensor coefficients.  A pulse set is one immutable
+PulseSet, hashed once and the key of its design: `pulse_set` hands out one shared PulseSet per
+(spin, angles), and any other list or tuple of cycles is wrapped into one per call.
 
 "fid" mode detects the lines at the start of acquisition, after they
 have precessed through the receiver-protection delay 1/nu_Q.  This is
@@ -114,29 +116,37 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
             for phi in (2 * np.pi * k / N for k in range(N))]
 
 
+class PulseSet(tuple):
+    """An immutable pulse set, the handle its compiled design is cached under: a tuple of
+    cycles, each a tuple of pulses, hashed once when built.  PulseSet(ps) is ps itself."""
+
+    def __new__(cls, cycles):
+        if type(cycles) is cls:
+            return cycles
+        self = super().__new__(cls, map(tuple, cycles))
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
     """Full rotation/phase-cycling set: the literature zero-order quadruple plus cycles for every
-    order at each nutation angle, fresh lists of pulses built once per (spin, angles).
+    order at each nutation angle, built once per (spin, angles) into one shared PulseSet.
 
     Two nutation angles are required: an exact pi/2 pulse is blind to the
     tensor components whose reduced rotation elements d^L_{+-1,m}(pi/2)
     vanish (e.g. rank 2, m = 0), so a second angle fills those in.
     """
-    return [list(cycle) for cycle in _pulse_cycles(sys, tuple(nutation_angles))]
+    return _pulse_cycles(sys, tuple(nutation_angles))
 
 
 @lru_cache(maxsize=4)
-def _pulse_cycles(sys: SpinSystem, nutation_angles: tuple) -> tuple:
+def _pulse_cycles(sys: SpinSystem, nutation_angles: tuple) -> PulseSet:
     n = round(2 * sys.I)
-    return tuple(map(tuple, [zero_order_cycle(sys)] + [
-        coherence_cycle(sys, q, theta) for theta in nutation_angles for q in range(-n, n + 1)]))
-
-
-class _PulseSetKey(tuple):
-    """A pulse set as a cache key: hashed by its length and end cycles, compared in full."""
-
-    def __hash__(self):
-        return hash((len(self), self[:1], self[-1:]))
+    return PulseSet([zero_order_cycle(sys)] + [
+        coherence_cycle(sys, q, theta) for theta in nutation_angles for q in range(-n, n + 1)])
 
 
 def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
@@ -249,12 +259,13 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     noise_sigma is a fraction of the largest noise-free line over the whole set.  Every acquired
     spectrum carries complex Gaussian noise of that deviation per line, so a cycle of N pulses
     carries noise_sigma / design.sqrt_pulses: one default_rng(seed) draw per cycle line, in order.
-    No map depends on nmr (module docstring); it is kept for callers that pass it by position.
+    cycles is a PulseSet, or cycles to wrap into one.  No map depends on nmr (module
+    docstring); it stays because callers, perfbench among them, pass it by position.
     """
     require_hermitian(rho, "density matrix")
     if not 0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    cycles = _PulseSetKey(map(tuple, cycles))
+    cycles = PulseSet(cycles)
     design = _closed_form(sys, cycles, mode)
     B = _apply(design.stacks, tensor_coefficients(sys, rho), design.n_rows)
     if noise_sigma > 0:
@@ -269,8 +280,9 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
 def build_design_matrix(sys: SpinSystem, cycles, nmr: NmrParams,
                         mode: str = "coherence") -> DesignSystem:
     """The cached design (`_closed_form`) that every equal pulse set shares, or a
-    TomographyRankError naming the weakly determined (K, Q) if its rank is short; nmr is unread."""
-    design = _closed_form(sys, _PulseSetKey(map(tuple, cycles)), mode)
+    TomographyRankError naming the weakly determined (K, Q) if its rank is short; nmr is unread
+    and stays for positional callers, as in `measure`."""
+    design = _closed_form(sys, PulseSet(cycles), mode)
     if design.rank < len(design.keys):
         raise TomographyRankError(design.rank, len(design.keys), list(design.weak_keys))
     return design

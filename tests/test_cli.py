@@ -1,5 +1,6 @@
 """Configuration validation and command-line entry points."""
 
+import dataclasses
 import json
 import math
 import os
@@ -69,6 +70,19 @@ def test_invalid_spin():
     for spin in (0.7, 20.5):
         with pytest.raises(ConfigError, match="spin"):
             validate_config({**GOOD, "spin": spin})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p", True), ("p", np.inf), ("p", np.nan), ("seed", np.True_), ("seed", -np.inf),
+    ("n_theta", np.nan), ("n_phi", np.inf), ("checkpoints", (True,)),
+    ("checkpoints", (1, np.nan)), ("checkpoints", (np.inf,)), ("spin", np.nan),
+    ("spin", np.inf)])
+def test_direct_config_refuses_bools_and_non_finite_values_by_name(key, value):
+    # presets and dataclasses.replace build ExperimentConfig without the schema, so it
+    # reads integers by the library's one policy: True was taken as 1, NaN raised an unnamed
+    # "cannot convert float NaN to integer" and infinity an OverflowError
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(PRESETS["na23-cat-p1"], **{key: value})
 
 
 def test_spin_above_bound_exit_code(tmp_path, capsys):

@@ -346,6 +346,19 @@ def test_non_square_matrices_are_refused_by_name_and_shape(entry, shape):
         call(np.zeros(shape))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+@pytest.mark.parametrize("entry", [*HERMITIAN_ENTRY_POINTS, "expm_hermitian"])
+def test_non_finite_entries_are_refused_by_name(entry, value):
+    # an infinite entry made the relative tolerance infinite, so the matrix passed and
+    # wigner_function returned a map of +-inf
+    name, call = {**HERMITIAN_ENTRY_POINTS,
+                  "expm_hermitian": ("generator", lambda M: expm_hermitian(M, 1e-6))}[entry]
+    M = RHO.copy()
+    M[0, 1] = value
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+        call(M)
+
+
 def smp_fidelity(**kwargs):
     target = coherent_state(SYS, np.pi / 2, 0.0)
     args = {"n_segments": 2, "delta_t": 1e-6, "budget": 2, "n_variants": 1, "n_starts": 1, **kwargs}
@@ -393,3 +406,10 @@ def test_invalid_spin():
         SpinSystem(0.7)
     with pytest.raises(ValueError):
         SpinSystem(-1.0)
+
+
+@pytest.mark.parametrize("I", [np.nan, np.inf, -np.inf])
+def test_non_finite_spin_is_refused_by_name(I):
+    # refused as a spin, not by round() with "cannot convert float NaN" or an OverflowError
+    with pytest.raises(ValueError, match=f"2I must be a positive integer, got I={I}"):
+        SpinSystem(I)

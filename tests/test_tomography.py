@@ -13,9 +13,9 @@ from spincat.spin_ops import (SpinSystem, angular_momentum, from_tensor_coeffici
                               tensor_stack)
 from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
-from spincat.tomography import (TomographyPulse, TomographyRankError, build_design_matrix,
-                                coherence_cycle, measure, pulse_set, reconstruct,
-                                synthesize_spectrum, zero_order_cycle)
+from spincat.tomography import (PulseSet, TomographyPulse, TomographyRankError,
+                                build_design_matrix, coherence_cycle, measure, pulse_set,
+                                reconstruct, synthesize_spectrum, zero_order_cycle)
 
 NU_Q = 15220.0
 SYS = SpinSystem(1.5)
@@ -238,8 +238,8 @@ def test_noisy_measure_divides_by_root_pulse_counts(mode):
     # built-in set and on cycles of mixed lengths
     sys = SpinSystem(3.5)
     rho = random_density(np.random.default_rng(18), sys.d)
-    mixed = pulse_set(sys)[:9] + [coherence_cycle(sys, q, np.pi / 3)[:9 + abs(q)]
-                                  for q in range(-7, 8)]
+    mixed = list(pulse_set(sys)[:9]) + [coherence_cycle(sys, q, np.pi / 3)[:9 + abs(q)]
+                                        for q in range(-7, 8)]
     for cycles in (pulse_set(sys), mixed):
         clean = measure(sys, rho, cycles, NMR, mode)
         scale = max(np.abs(clean[:-1]).max(), 1e-300) * 0.03 / np.sqrt(
@@ -249,23 +249,47 @@ def test_noisy_measure_divides_by_root_pulse_counts(mode):
         clean[:-1] += (scale[:, None] * (noise[..., 0] + 1j * noise[..., 1])).ravel()
         noisy = measure(sys, rho, cycles, NMR, mode, noise_sigma=0.03, seed=(6, 1))
         assert np.array_equal(noisy, clean)
-        design = tomography._closed_form(sys, tomography._PulseSetKey(map(tuple, cycles)), mode)
+        design = tomography._closed_form(sys, PulseSet(cycles), mode)
         assert not design.sqrt_pulses.flags.writeable
 
 
-def test_pulse_set_returns_fresh_lists():
-    # the pulses are built once per (spin, angles); each call hands out new lists of them
+def test_pulse_set_is_one_immutable_handle():
+    # the pulses are built once per (spin, angles) into one PulseSet that every call shares
     first = pulse_set(SYS)
     want = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
                                       for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
-    assert first == want
-    first[0].append(TomographyPulse(0.1, 0.2, 0.3))
-    first[1][0] = TomographyPulse(0.4, 0.5, 0.6)
-    first.pop()
-    second = pulse_set(SYS)
-    assert second == want and second is not first and second[1] is not first[1]
-    assert all(a is b for a, b in zip(second[2], pulse_set(SYS)[2]))
-    assert pulse_set(SYS, [np.pi / 2]) == want[:8]
+    assert type(first) is PulseSet and first == tuple(map(tuple, want))
+    assert all(type(cycle) is tuple for cycle in first)
+    assert pulse_set(SYS) is first and PulseSet(first) is first
+    assert pulse_set(SYS, (np.pi / 2, np.pi / 4)) is first
+    with pytest.raises(TypeError):
+        first[1] = first[2]
+    with pytest.raises(AttributeError):
+        first[0].append(TomographyPulse(0.1, 0.2, 0.3))
+    assert pulse_set(SYS, [np.pi / 2]) == tuple(map(tuple, want[:8]))
+    assert hash(PulseSet(want)) == hash(first) and PulseSet(want) == first
+
+
+def test_one_pulse_set_is_built_once(monkeypatch):
+    # measure and build_design_matrix look the design up under the PulseSet they are given:
+    # over repeated calls in both modes no further PulseSet is built than pulse_set's first
+    new, built = PulseSet.__new__, []
+
+    def counting_new(cls, cycles):
+        if type(cycles) is not cls:
+            built.append(cycles)
+        return new(cls, cycles)
+
+    monkeypatch.setattr(PulseSet, "__new__", counting_new)
+    tomography._pulse_cycles.cache_clear()
+    cycles = pulse_set(SYS)
+    assert len(built) == 1
+    rho = random_density(np.random.default_rng(19))
+    for mode in ("coherence", "fid", "coherence"):
+        build_design_matrix(SYS, cycles, NMR, mode)
+        measure(SYS, rho, cycles, NMR, mode)
+        measure(SYS, rho, cycles, NMR, mode, noise_sigma=0.1, seed=1)
+    assert pulse_set(SYS) is cycles and len(built) == 1
 
 
 def test_noisy_measure_has_cycle_mean_law():
@@ -317,12 +341,9 @@ def test_map_compiled_once_across_nu_q(mode):
 
 
 def test_pulse_sets_sharing_length_and_end_cycles_compile_apart():
-    # the cache key hashes only the length and the end cycles; equality must still tell
-    # a different middle cycle apart
+    # sets of one length and the same end cycles, a different middle cycle, compile apart
     cycles = pulse_set(SYS)
-    other = cycles[:5] + [coherence_cycle(SYS, 1, np.pi / 3)] + cycles[6:]
-    keys = [tomography._PulseSetKey(map(tuple, c)) for c in (cycles, other)]
-    assert hash(keys[0]) == hash(keys[1]) and keys[0] != keys[1]
+    other = list(cycles[:5]) + [coherence_cycle(SYS, 1, np.pi / 3)] + list(cycles[6:])
     rho = random_density(np.random.default_rng(16))
     first, second = (measure(SYS, rho, c, NMR) for c in (cycles, other))
     assert not np.allclose(first[15:18], second[15:18])
@@ -333,19 +354,21 @@ def test_pulse_sets_sharing_length_and_end_cycles_compile_apart():
 
 
 def test_equal_pulse_set_hits_compiled_map(monkeypatch):
-    # value-equal cycles of new pulse objects, as lists or tuples, find the compiled map,
-    # factored with it: a warm build_design_matrix takes no SVD and returns the same design
+    # value-equal cycles of new pulse objects, as lists, tuples or a new PulseSet, find the
+    # compiled map, factored with it: a warm build_design_matrix takes no SVD and returns the
+    # same design, and measure gives the same bytes
     design = build_design_matrix(SYS, pulse_set(SYS), NMR)
     misses = tomography._closed_form.cache_info().misses
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     fresh = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
                                        for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
-    for cycles in (pulse_set(SYS), fresh, tuple(map(tuple, fresh))):
+    rho, outs = random_density(np.random.default_rng(17)), []
+    for cycles in (pulse_set(SYS), fresh, tuple(map(tuple, fresh)), PulseSet(fresh)):
         assert build_design_matrix(SYS, cycles, NMR) is design
-        measure(SYS, random_density(np.random.default_rng(17)), cycles, NMR)
+        outs.append(measure(SYS, rho, cycles, NMR, noise_sigma=0.1, seed=2).tobytes())
     assert tomography._closed_form.cache_info().misses == misses
-    assert not calls
+    assert not calls and len(set(outs)) == 1
 
 
 def test_designs_compare_by_identity():
@@ -368,7 +391,7 @@ def test_empty_pulse_set_is_refused(call):
 
 @pytest.mark.parametrize("call", ["measure", "build_design_matrix"])
 def test_empty_cycle_is_refused(call):
-    cycles = pulse_set(SYS)
+    cycles = list(pulse_set(SYS))
     cycles.insert(3, [])
     for _ in range(2):   # refused again: a failed compile is not cached
         with pytest.raises(ValueError, match="cycle 3 has no pulses"):
@@ -382,7 +405,8 @@ def test_non_finite_pulse_angle_is_refused(angle, value):
     # a NaN theta at I = 3/2 used to give all-zero lines instead of an error
     pulse = [np.pi / 2, 0.3, 0.0]
     pulse[angle] = value
-    cycles = pulse_set(SYS) + [[TomographyPulse(np.pi / 4, 0.0, 0.0), TomographyPulse(*pulse)]]
+    cycles = list(pulse_set(SYS)) + [[TomographyPulse(np.pi / 4, 0.0, 0.0),
+                                      TomographyPulse(*pulse)]]
     for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
                  lambda: build_design_matrix(SYS, cycles, NMR),
                  lambda: synthesize_spectrum(SYS, np.eye(4) / 4, TomographyPulse(*pulse), NMR)):
@@ -481,7 +505,7 @@ def test_block_design_matches_dense_pinv(spin, mode, cycle_set):
     sys = SpinSystem(spin)
     rng = np.random.default_rng(31)
     cycles = {"pulse_set": pulse_set(sys), "aliased": aliased_cycles(sys),
-              "mixed": pulse_set(sys) + [[TomographyPulse(*p) for p in zip(
+              "mixed": list(pulse_set(sys)) + [[TomographyPulse(*p) for p in zip(
                   rng.permutation([np.pi / 2] * 5 + [np.pi / 4] * 4),
                   *rng.uniform(0, 2 * np.pi, size=(2, 9)))]]}[cycle_set]
     design = build_design_matrix(sys, cycles, NMR, mode)
@@ -620,10 +644,11 @@ def test_measure_is_design_times_coefficients(twoI, mode, cycle_set, seed):
     sys, rng = SpinSystem(twoI / 2), np.random.default_rng(seed)
     cycles = aliased_cycles(sys) if cycle_set == "aliased" else pulse_set(sys)
     if cycle_set == "extra":
-        cycles = cycles + [[TomographyPulse(rng.choice([np.pi / 2, np.pi / 4, np.pi / 3]),
-                                            *rng.uniform(0, 2 * np.pi, size=2))
-                            for _ in range(rng.integers(1, 6))]
-                           for _ in range(rng.integers(1, 4))]
+        cycles = list(cycles) + [
+            [TomographyPulse(rng.choice([np.pi / 2, np.pi / 4, np.pi / 3]),
+                             *rng.uniform(0, 2 * np.pi, size=2))
+             for _ in range(rng.integers(1, 6))]
+            for _ in range(rng.integers(1, 4))]
     rho = random_density(rng, sys.d)
     design = build_design_matrix(sys, cycles, NMR, mode)
     B = measure(sys, rho, cycles, NMR, mode)
