@@ -4,12 +4,13 @@ configuration files, list presets."""
 import argparse
 import json
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, PRESETS, get_preset, load_config, validate_config
+from .config import ConfigError, PRESETS, get_preset, load_config
 from .dynamics import NmrParams, cat_time, free_evolution_schedule
 from .spin_ops import SpinSystem
 from .tomography import (TomographyRankError, build_design_matrix, measure,
@@ -68,7 +69,7 @@ def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config) if args.config else get_preset(args.preset)
         given = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
-        cfg = validate_config({**cfg.to_dict(), **given}, source="command line")
+        cfg = replace(cfg, **given)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2

@@ -6,7 +6,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spin_ops import require_integer
 from .states import NA23_EPSILON
 
 CONFIG_SCHEMA = {
@@ -15,7 +14,7 @@ CONFIG_SCHEMA = {
     "required": ["spin", "nu_Q", "p", "checkpoints"],
     "properties": {
         "name": {"type": "string"},
-        "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20},
+        "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20, "multipleOf": 0.5},
         "nu_Q": {"type": "number", "minimum": 1},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "p": {"type": "integer", "minimum": -2**53, "maximum": 2**53},  # integers doubles hold exactly
@@ -56,17 +55,13 @@ class ExperimentConfig:
     n_phi: int = 128
 
     def __post_init__(self):
-        # JSON Schema's "integer" takes integral floats such as 16.0: store ints, read by the
-        # library's one integer policy, which refuses bools, NaN and infinities by name
-        try:
-            for key in ("p", "seed", "n_theta", "n_phi"):
-                object.__setattr__(self, key, require_integer(getattr(self, key), key))
-            object.__setattr__(self, "checkpoints", tuple(
-                require_integer(k, "checkpoints") for k in self.checkpoints))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not 0 < self.spin < np.inf or round(2 * self.spin) != 2 * self.spin:
-            raise ConfigError("spin must be a positive integer or half-integer")
+        # a preset, dataclasses.replace and a file all obey CONFIG_SCHEMA; its "integer" takes
+        # integral floats such as 16.0 and numpy integers, stored here as int
+        _check_schema(vars(self), "ExperimentConfig")
+        for key, spec in CONFIG_SCHEMA["properties"].items():
+            if spec.get("type") == "integer":
+                object.__setattr__(self, key, int(getattr(self, key)))
+        object.__setattr__(self, "checkpoints", tuple(map(int, self.checkpoints)))
         # n Gauss-Legendre nodes are exact to degree 2n - 1; n azimuths alias |Q| >= n
         for key in ("n_theta", "n_phi"):
             if (n := getattr(self, key)) <= 2 * self.spin:
@@ -77,25 +72,13 @@ class ExperimentConfig:
                 for f in fields(self) for v in [getattr(self, f.name)]}
 
 
-# Sodium-23 single-crystal presets: prepare a coherent state on the
-# equator and let it evolve to the cat time and back to revival, or just
-# inspect the initial state.
-PRESETS = {
-    "na23-cat-p1": ExperimentConfig(spin=1.5, nu_Q=15220.0, p=1,
-                                    checkpoints=(1, 2), name="na23-cat-p1"),
-    "na23-cat-p0": ExperimentConfig(spin=1.5, nu_Q=15220.0, p=0,
-                                    checkpoints=(1, 2), name="na23-cat-p0"),
-    "na23-init": ExperimentConfig(spin=1.5, nu_Q=15220.0, p=1,
-                                  checkpoints=(0,), name="na23-init"),
-}
-
-
 def _suggest(key: str, names=CONFIG_SCHEMA["properties"]) -> str:
     close = difflib.get_close_matches(key, names, n=1)
     return f" (did you mean '{close[0]}'?)" if close else ""
 
 
-_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "array": list}
+_TYPES = {"string": str, "number": (int, float), "integer": (int, float, np.integer),
+          "array": (list, tuple)}
 _KEYWORDS = {
     "type": lambda v, t: (isinstance(v, _TYPES[t]) and not isinstance(v, bool) and (
         not isinstance(v, float) or np.isfinite(v) and (t == "number" or v.is_integer()))),
@@ -103,6 +86,7 @@ _KEYWORDS = {
     "minimum": lambda v, m: v >= m,
     "exclusiveMinimum": lambda v, m: v > m,
     "maximum": lambda v, m: v <= m,
+    "multipleOf": lambda v, m: (v / m).is_integer(),   # exact for m = 0.5, after the bounds
     "minItems": lambda v, n: len(v) >= n,
     "items": lambda v, spec: all(_broken(x, spec) is None for x in v),
     "uniqueItems": lambda v, u: not u or len(set(v)) == len(v),   # after items: 1 == 1.0
@@ -137,6 +121,19 @@ def validate_config(data: dict, source: str = "<config>") -> ExperimentConfig:
         return ExperimentConfig(**data)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+
+
+# Sodium-23 single-crystal presets: prepare a coherent state on the
+# equator and let it evolve to the cat time and back to revival, or just
+# inspect the initial state.
+PRESETS = {
+    "na23-cat-p1": ExperimentConfig(spin=1.5, nu_Q=15220.0, p=1,
+                                    checkpoints=(1, 2), name="na23-cat-p1"),
+    "na23-cat-p0": ExperimentConfig(spin=1.5, nu_Q=15220.0, p=0,
+                                    checkpoints=(1, 2), name="na23-cat-p0"),
+    "na23-init": ExperimentConfig(spin=1.5, nu_Q=15220.0, p=1,
+                                  checkpoints=(0,), name="na23-init"),
+}
 
 
 def load_config(path) -> ExperimentConfig:

@@ -52,6 +52,9 @@ def effective_hamiltonian(sys: SpinSystem, omega_Q: float, p: int) -> np.ndarray
 
 def atom_field_hamiltonian(sys: SpinSystem, kappa: float, nbar: float) -> np.ndarray:
     """Dispersive atom-field form kappa ((2 nbar + 1) Iz - Iz^2 + I^2)."""
+    for name, value in (("kappa", kappa), ("nbar", nbar)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if nbar < 0:
         raise ValueError("mean photon number must be non-negative")
     ops = angular_momentum(sys)

@@ -38,8 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .spin_ops import (SpinSystem, _wigner_d_rows, angular_momentum, from_tensor_coefficients,
-                       require_hermitian, tensor_band, tensor_coefficients, tensor_keys)
+                       require_hermitian, require_integer, tensor_band, tensor_coefficients,
+                       tensor_keys)
 from .dynamics import NmrParams
+from .states import fidelity
 
 SVD_CUTOFF = 1e-10
 COND_WARN = 1e6
@@ -109,6 +111,7 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
     """N-step cycle isolating order q; N = 4I+1 avoids aliasing over the
     available orders -2I..2I."""
     twoI = round(2 * sys.I)
+    q = require_integer(q, "q")
     if abs(q) > twoI:
         raise ValueError(f"|q| must be <= {twoI}")
     N = 2 * twoI + 1
@@ -309,7 +312,6 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
 def reconstruction_record(sys: SpinSystem, rho, info, target=None,
                           noise_settings=None) -> dict:
     """JSON-serializable record of one reconstruction."""
-    from .states import fidelity
     rec = {
         "spin": sys.I,
         "coefficients": {f"{L},{m}": [c.real, c.imag]

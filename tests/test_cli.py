@@ -78,9 +78,9 @@ def test_invalid_spin():
     ("checkpoints", (1, np.nan)), ("checkpoints", (np.inf,)), ("spin", np.nan),
     ("spin", np.inf)])
 def test_direct_config_refuses_bools_and_non_finite_values_by_name(key, value):
-    # presets and dataclasses.replace build ExperimentConfig without the schema, so it
-    # reads integers by the library's one policy: True was taken as 1, NaN raised an unnamed
-    # "cannot convert float NaN to integer" and infinity an OverflowError
+    # presets and dataclasses.replace build ExperimentConfig without a file, and it checks
+    # CONFIG_SCHEMA itself: True was taken as 1, NaN raised an unnamed "cannot convert float
+    # NaN to integer" and infinity an OverflowError
     with pytest.raises(ConfigError, match=key):
         dataclasses.replace(PRESETS["na23-cat-p1"], **{key: value})
 
@@ -144,7 +144,8 @@ def _near(spec):
         return st.lists(_near(spec["items"]), max_size=3)
     lo = spec.get("minimum", spec.get("exclusiveMinimum", -30))
     hi = spec.get("maximum", lo + 60)
-    ints = st.integers(math.floor(lo) - 1, math.ceil(hi) + 1)
+    step = spec.get("multipleOf", 1)   # whole multiples of the step, such as half-integer spins
+    ints = st.integers(math.floor(lo / step) - 1, math.ceil(hi / step) + 1).map(lambda n: n * step)
     if spec["type"] == "integer":
         return ints | ints.map(float)
     return ints | st.floats(lo - 1, hi + 1)
@@ -187,6 +188,26 @@ def test_schema_check_matches_jsonschema(data):
         assert any(f": {k}: " in str(exc) or f"'{k}'" in str(exc) for k in bad), str(exc)
     else:
         assert not errors, [e.message for e in errors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(change=st.sampled_from(sorted(_PROPS)).flatmap(
+    lambda key: st.tuples(st.just(key), _value(_PROPS[key]))))
+def test_direct_config_obeys_the_schema(change):
+    # dataclasses.replace of a preset is refused, naming the field, exactly when JSON Schema
+    # rejects the changed config; at this preset's spin and grid no single change that the
+    # schema accepts can break the rule that the grid resolve 2I
+    key, value = change
+    base = PRESETS["na23-cat-p1"]
+    valid = jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid({**base.to_dict(), key: value})
+    try:
+        cfg = dataclasses.replace(base, **{key: value})
+    except ConfigError as exc:
+        assert not valid, f"refused a config the schema accepts: {exc}"
+        assert f": {key}: " in str(exc), str(exc)
+    else:
+        assert valid, f"built a config the schema rejects: {key}={value!r}"
+        assert cfg.to_dict()[key] == value
 
 
 # a run costs little at spin <= 7/2 on grids <= 48 with <= 3 checkpoints; now and then

@@ -73,6 +73,15 @@ def test_atom_field_shift_proportional_to_identity():
     assert np.allclose(diff, diff[0, 0] * np.eye(sys.d), atol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["kappa", "nbar"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_atom_field_hamiltonian_refuses_non_finite_input_by_name(name, value):
+    # a NaN used to return a NaN matrix, and an infinity an unnamed RuntimeWarning
+    args = {"kappa": 7.0, "nbar": 3.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        atom_field_hamiltonian(SpinSystem(1.5), **args)
+
+
 def test_evolve_unitary_and_energy_conserving():
     sys = SpinSystem(2.0)
     H = effective_hamiltonian(sys, OMEGA_Q, 1)

@@ -71,6 +71,14 @@ def test_cycle_length_and_order_bound():
         coherence_cycle(SYS, 4, np.pi / 2)
 
 
+@pytest.mark.parametrize("q", [0.5, True, np.nan, np.inf])
+def test_cycle_order_must_be_an_integer(q):
+    # 0.5 and True used to give a cycle, and NaN one of NaN receiver phases
+    with pytest.raises(ValueError, match="q must be an integer"):
+        coherence_cycle(SYS, q, np.pi / 2)
+    assert coherence_cycle(SYS, 1.0, np.pi / 2) == coherence_cycle(SYS, np.int64(1), np.pi / 2)
+
+
 def test_design_full_rank_and_conditioning(design):
     assert design.rank == 16
     assert design.condition_number < 1e3
