@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, PRESETS, get_preset, load_config
+from .config import CONFIG_SCHEMA, ConfigError, PRESETS, get_preset, load_config
 from .dynamics import NmrParams, cat_time, free_evolution_schedule
 from .spin_ops import SpinSystem
 from .tomography import (TomographyRankError, build_design_matrix, measure,
@@ -82,10 +82,13 @@ def _cmd_run(args) -> int:
         print(f"numerical error during experiment run: {exc}", file=_sys.stderr)
         return 3
     for cp in report["checkpoints"]:
-        print(f"checkpoint {cp['k']}: t = {cp['time_us']:.3f} us, "
-              f"fidelity = {cp['fidelity']:.6f}")
+        print(f"checkpoint {cp['k']}: t = {cp['time_us']:.3f} us, fidelity = {cp['fidelity']:.6f}")
     print(f"wrote results to {args.out}")
     return 0
+
+
+def _summary(cfg) -> str:
+    return f"I={cfg.spin}, nu_Q={cfg.nu_Q} Hz, p={cfg.p}, checkpoints={list(cfg.checkpoints)}"
 
 
 def _cmd_validate(args) -> int:
@@ -97,16 +100,13 @@ def _cmd_validate(args) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=_sys.stderr)
         return 2
-    print(f"valid: {cfg.name} (I={cfg.spin}, nu_Q={cfg.nu_Q} Hz, p={cfg.p}, "
-          f"checkpoints={list(cfg.checkpoints)})")
+    print(f"valid: {cfg.name} ({_summary(cfg)})")
     return 0
 
 
 def _cmd_presets(args) -> int:
     for name in sorted(PRESETS):
-        cfg = PRESETS[name]
-        print(f"{name}: I={cfg.spin}, nu_Q={cfg.nu_Q} Hz, p={cfg.p}, "
-              f"checkpoints={list(cfg.checkpoints)}")
+        print(f"{name}: {_summary(PRESETS[name])}")
     return 0
 
 
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="name of a built-in preset")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    run.add_argument("--mode", choices=["coherence", "fid"], default=None,
+    run.add_argument("--mode", choices=CONFIG_SCHEMA["properties"]["mode"]["enum"], default=None,
                      help="override spectrum synthesis mode")
     run.set_defaults(func=_cmd_run)
 
@@ -135,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("presets", help="inspect built-in presets")
     pre_sub = pre.add_subparsers(dest="presets_command", required=True)
-    lst = pre_sub.add_parser("list", help="list available presets")
-    lst.set_defaults(func=_cmd_presets)
+    pre_sub.add_parser("list", help="list available presets").set_defaults(func=_cmd_presets)
 
     return parser
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_ops import (SpinSystem, angular_momentum, expm_hermitian, require_hermitian,
-                       require_integer)
+                       require_integer, require_real)
 from .states import coherent_state
 
 
@@ -27,36 +27,30 @@ class NmrParams:
 
     def __post_init__(self):
         for name in ("omega_L", "omega_RF", "omega_Q", "omega_1", "upsilon"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
 
 
 def nmr_hamiltonian(sys: SpinSystem, params: NmrParams) -> np.ndarray:
     """-(wL-wRF) Iz + (wQ/6)(3 Iz^2 - I^2) + w1 (Ix cos v + Iy sin v)."""
     ops = angular_momentum(sys)
-    H = (-(params.omega_L - params.omega_RF) * ops.Iz
-         + params.omega_Q / 6 * (3 * ops.Iz @ ops.Iz - ops.Isq)
-         + params.omega_1 * (ops.Ix * np.cos(params.upsilon)
-                             + ops.Iy * np.sin(params.upsilon)))
-    return H
+    return (-(params.omega_L - params.omega_RF) * ops.Iz
+            + params.omega_Q / 6 * (3 * ops.Iz @ ops.Iz - ops.Isq)
+            + params.omega_1 * (ops.Ix * np.cos(params.upsilon)
+                                + ops.Iy * np.sin(params.upsilon)))
 
 
 def effective_hamiltonian(sys: SpinSystem, omega_Q: float, p: int) -> np.ndarray:
     """Resonant nonlinear Hamiltonian -(wQ/2)(p Iz - Iz^2 + I^2/3), the
     on-resonance limit of the rotating-frame Hamiltonian with the carrier
     tuned p half-quadrupolar-splittings below the Larmor frequency."""
-    p = require_integer(p, "p")
+    p, omega_Q = require_integer(p, "p"), require_real(omega_Q, "omega_Q")
     ops = angular_momentum(sys)
     return -omega_Q / 2 * (p * ops.Iz - ops.Iz @ ops.Iz + ops.Isq / 3)
 
 
 def atom_field_hamiltonian(sys: SpinSystem, kappa: float, nbar: float) -> np.ndarray:
     """Dispersive atom-field form kappa ((2 nbar + 1) Iz - Iz^2 + I^2)."""
-    for name, value in (("kappa", kappa), ("nbar", nbar)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if nbar < 0:
-        raise ValueError("mean photon number must be non-negative")
+    kappa, nbar = require_real(kappa, "kappa"), require_real(nbar, "nbar", minimum=0)
     ops = angular_momentum(sys)
     return kappa * ((2 * nbar + 1) * ops.Iz - ops.Iz @ ops.Iz + ops.Isq)
 
@@ -72,9 +66,7 @@ def evolve(state_or_rho: np.ndarray, H: np.ndarray, t: float) -> np.ndarray:
 
 def cat_time(nu_Q: float) -> float:
     """Quarter-period t_S = pi/omega_Q = 1/(2 nu_Q) in seconds."""
-    if not 0 < nu_Q < np.inf:
-        raise ValueError("nu_Q must be positive and finite")
-    return 1.0 / (2.0 * nu_Q)
+    return 1.0 / (2.0 * require_real(nu_Q, "nu_Q", exclusive_minimum=0))
 
 
 def free_evolution_schedule(sys: SpinSystem, p: int, nu_Q: float, checkpoints,

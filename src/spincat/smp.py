@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spin_ops import SpinSystem, angular_momentum, expm_hermitian, require_integer
+from .spin_ops import SpinSystem, angular_momentum, expm_hermitian, require_integer, require_real
 from .states import projector, traceless_part
 from .dynamics import NmrParams, nmr_hamiltonian
 
@@ -32,10 +32,9 @@ class PulseSegment:
     duration: float    # s
 
     def __post_init__(self):
-        if not 0 <= self.omega < np.inf:
-            raise ValueError(f"segment omega must be finite and non-negative, got {self.omega}")
-        if not 0 < self.duration < np.inf:
-            raise ValueError(f"segment duration must be finite and positive, got {self.duration}")
+        for name, bound in (("omega", {"minimum": 0}), ("phase", {}),
+                            ("duration", {"exclusive_minimum": 0})):
+            object.__setattr__(self, name, require_real(getattr(self, name), name, **bound))
 
 
 def delay(duration: float) -> PulseSegment:
@@ -201,10 +200,8 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         require_integer(value, name, 1) for name, value in (
             ("n_segments", n_segments), ("n_variants", n_variants), ("n_starts", n_starts)))
     budget = require_integer(budget, "budget", 0)
-    if not 0 < amplitude_cap < np.inf:
-        raise ValueError(f"amplitude_cap must be finite and positive, got {amplitude_cap}")
-    if not 0 < delta_t < np.inf:
-        raise ValueError(f"delta_t must be finite and positive, got {delta_t}")
+    amplitude_cap = require_real(amplitude_cap, "amplitude_cap", exclusive_minimum=0)
+    delta_t = require_real(delta_t, "delta_t", exclusive_minimum=0)
     args = (*_problem(sys, nmr, target_state), delta_t, n_variants, n_segments)
     rng = np.random.default_rng(seed)
     shape = (n_variants, n_segments)

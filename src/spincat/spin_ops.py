@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+_REALS = (int, float, np.integer, np.floating)   # and not bool, a flag
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,7 @@ class SpinSystem:
     I: float
 
     def __post_init__(self):
-        twoI = 2 * self.I
-        if not math.isfinite(twoI) or abs(twoI - round(twoI)) > 1e-12 or round(twoI) < 1:
-            raise ValueError(f"2I must be a positive integer, got I={self.I}")
+        _twice_half_integer(self.I, 1, f"2I must be a positive integer, got I={self.I!r}")
 
     @property
     def d(self) -> int:
@@ -68,6 +67,27 @@ def require_integer(value, name, minimum=None) -> int:
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
     return int(n)
+
+
+def require_real(value, name, minimum=-math.inf, maximum=math.inf,
+                 exclusive_minimum=-math.inf) -> float:
+    """value as a float, or a ValueError that starts "{name} must be finite".  Ints and floats,
+    numpy's too, pass; bools, complex numbers, strings, None, arrays, NaN, infinities and values
+    outside the bounds (named as CONFIG_SCHEMA names them) are refused: one policy for reals."""
+    x = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
+    if exclusive_minimum < x < math.inf and minimum <= x <= maximum:   # NaN fails every test
+        return x
+    bounds = "".join(f", {op} {b}" for op, b in (
+        (">", exclusive_minimum), (">=", minimum), ("<=", maximum)) if math.isfinite(b))
+    raise ValueError(f"{name} must be finite and real{bounds}, got {value!r}")
+
+
+def _twice_half_integer(value, least: int, message: str) -> int:
+    """int(2 value) if 2 value is exactly an integer >= least (multipleOf 0.5), else ValueError."""
+    twice = 2.0 * value if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
+    if not (twice >= least and float(twice).is_integer()):
+        raise ValueError(message)
+    return int(twice)
 
 
 @dataclass(frozen=True)
@@ -189,10 +209,8 @@ def reduced_wigner_d(L, theta: float) -> np.ndarray:
     Standard convention: matrix elements of exp(-i theta Iy) in the
     |L, m> basis, so d^L(0) is the identity and the matrix is orthogonal.
     """
-    twoL = round(2 * L)
-    if abs(2 * L - twoL) > 1e-12 or twoL < 0:
-        raise ValueError(f"rank must be a non-negative half-integer, got {L}")
-    return expm_hermitian(_angular_momentum_cached(twoL).Iy, theta).real
+    twoL = _twice_half_integer(L, 0, f"rank must be a non-negative half-integer, got {L!r}")
+    return expm_hermitian(_angular_momentum_cached(twoL).Iy, require_real(theta, "theta")).real
 
 
 def _wigner_d_rows(L: int, mu: int, theta) -> np.ndarray:
@@ -224,11 +242,12 @@ def expm_hermitian(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition (exactly unitary)."""
     require_hermitian(H, "generator")
     lam, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * lam * t)) @ V.conj().T
+    return (V * np.exp(-1j * lam * require_real(t, "t"))) @ V.conj().T
 
 
 def rotation_operator(sys: SpinSystem, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Euler rotation exp(-i alpha Iz) exp(-i beta Iy) exp(-i gamma Iz)."""
+    alpha, beta, gamma = map(require_real, (alpha, beta, gamma), ("alpha", "beta", "gamma"))
     ms = sys.m_values
     Ry = expm_hermitian(angular_momentum(sys).Iy, beta)
     return np.exp(-1j * (alpha * ms[:, None] + gamma * ms)) * Ry

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 
-from .spin_ops import SpinSystem, require_hermitian, require_integer
+from .spin_ops import SpinSystem, require_hermitian, require_integer, require_real
 
 # High-temperature polarization factor of the sodium-23 preset.
 NA23_EPSILON = 0.426e-5
@@ -19,10 +19,7 @@ def coherent_state(sys: SpinSystem, vartheta: float, varphi: float) -> np.ndarra
     normalization multiplied through, and stays finite at vartheta = pi
     where it reduces smoothly to |I, +I>.
     """
-    if not (0 <= vartheta <= np.pi):
-        raise ValueError("vartheta must lie in [0, pi]")
-    if not np.isfinite(varphi):
-        raise ValueError("varphi must be finite")
+    vartheta, varphi = require_real(vartheta, "vartheta", 0, np.pi), require_real(varphi, "varphi")
     twoI = round(2 * sys.I)
     n = np.arange(twoI, -1, -1)  # I+m, ordered 2I .. 0
     s, c = np.sin(vartheta / 2), np.cos(vartheta / 2)
@@ -77,8 +74,7 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
         raise ValueError("dimension mismatch")
     require_hermitian(rho_a, "first argument")
     require_hermitian(rho_b, "second argument")
-    na = np.linalg.norm(rho_a)
-    nb = np.linalg.norm(rho_b)
+    na, nb = np.linalg.norm(rho_a), np.linalg.norm(rho_b)
     if na == 0 or nb == 0:
         raise ValueError("fidelity of a zero matrix is undefined")
     return abs(np.trace(rho_a @ rho_b)) / (na * nb)

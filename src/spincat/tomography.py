@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .spin_ops import (SpinSystem, _wigner_d_rows, angular_momentum, from_tensor_coefficients,
-                       require_hermitian, require_integer, tensor_band, tensor_coefficients,
-                       tensor_keys)
+                       require_hermitian, require_integer, require_real, tensor_band,
+                       tensor_coefficients, tensor_keys)
 from .dynamics import NmrParams
 from .states import fidelity
 
@@ -90,12 +90,9 @@ class TomographyRankError(ValueError):
     """Raised when a pulse set cannot determine every tensor coefficient."""
 
     def __init__(self, rank, needed, null_keys):
-        self.rank = rank
-        self.needed = needed
-        self.null_keys = null_keys
-        super().__init__(
-            f"design matrix rank {rank} < {needed}; "
-            f"weakly determined components: {null_keys}")
+        self.rank, self.needed, self.null_keys = rank, needed, null_keys
+        super().__init__(f"design matrix rank {rank} < {needed}; "
+                         f"weakly determined components: {null_keys}")
 
 
 def zero_order_cycle(sys: SpinSystem):
@@ -266,8 +263,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     docstring); it stays because callers, perfbench among them, pass it by position.
     """
     require_hermitian(rho, "density matrix")
-    if not 0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    noise_sigma = require_real(noise_sigma, "noise_sigma", minimum=0)
     cycles = PulseSet(cycles)
     design = _closed_form(sys, cycles, mode)
     B = _apply(design.stacks, tensor_coefficients(sys, rho), design.n_rows)

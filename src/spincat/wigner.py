@@ -41,7 +41,8 @@ def tensor_expectations(sys: SpinSystem, rho: np.ndarray) -> dict:
 
 def spherical_harmonic(K: int, Q: int, theta, phi):
     """Orthonormal spherical harmonic Y_KQ with the Condon-Shortley phase."""
-    if not (0 <= K) or not (-K <= Q <= K):
+    K, Q = require_integer(K, "K", 0), require_integer(Q, "Q")
+    if not -K <= Q <= K:
         raise ValueError(f"invalid rank/order ({K},{Q})")
     from scipy.special import sph_harm_y
     return sph_harm_y(K, Q, theta, phi)

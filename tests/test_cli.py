@@ -134,6 +134,42 @@ def test_cli_run_missing_config_exit_code(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+def test_cli_validate_missing_config_exit_code(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", "3", "\"spin\"", "null"])
+def test_config_that_is_not_a_json_object_exit_code(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "configuration must be a JSON object" in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert "configuration must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_summary_lines_of_validate_and_presets(tmp_path, capsys):
+    # validate and presets list print one summary of a config, in one format
+    assert main(["validate", "--config", str(write_config(tmp_path, GOOD))]) == 0
+    assert capsys.readouterr().out == (
+        "valid: custom (I=1.5, nu_Q=15220.0 Hz, p=1, checkpoints=[1, 2])\n")
+    assert main(["presets", "list"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "na23-cat-p0: I=1.5, nu_Q=15220.0 Hz, p=0, checkpoints=[1, 2]",
+        "na23-cat-p1: I=1.5, nu_Q=15220.0 Hz, p=1, checkpoints=[1, 2]",
+        "na23-init: I=1.5, nu_Q=15220.0 Hz, p=1, checkpoints=[0]"]
+
+
+def test_mode_choices_are_the_schema_enum(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "na23-init", "--mode", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(repr(mode) in err for mode in CONFIG_SCHEMA["properties"]["mode"]["enum"])
+
+
 def _near(spec):
     """Values of one property's type in and around its schema bounds."""
     if "enum" in spec:

@@ -5,17 +5,19 @@ import math
 import re
 from decimal import Decimal
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from spincat.dynamics import (NmrParams, effective_hamiltonian, evolve, free_evolution_schedule,
-                              nmr_hamiltonian)
-from spincat.smp import optimize_smp
+from spincat.config import CONFIG_SCHEMA
+from spincat.dynamics import (NmrParams, atom_field_hamiltonian, cat_time, effective_hamiltonian,
+                              evolve, free_evolution_schedule, nmr_hamiltonian)
+from spincat.smp import PulseSegment, optimize_smp
 from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, _wigner_d_rows, angular_momentum,
                               expm_hermitian, from_tensor_coefficients, reduced_wigner_d,
-                              require_hermitian, require_integer, rotation_operator,
+                              require_hermitian, require_integer, require_real, rotation_operator,
                               spherical_tensor_basis, tensor_band, tensor_coefficients,
                               tensor_keys, tensor_stack)
 from spincat.states import cat_state, coherent_state, fidelity
@@ -399,6 +401,87 @@ def test_require_integer_states_its_minimum():
     for bad in (0, 0.0, False):
         with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {bad!r}")):
             require_integer(bad, "n", 1)
+
+
+H_EFF = effective_hamiltonian(SYS, 1.0, 1)
+# site -> (argument name, a valid value, a value out of bounds or None, the call with it set)
+REAL_SITES = {
+    **{f"nmr_{name}": (name, 1, None, lambda v, name=name: nmr_hamiltonian(
+        SYS, NmrParams(**{"omega_L": 0.0, "omega_RF": 0.0, "omega_Q": 1.0, name: v})))
+       for name in ("omega_L", "omega_RF", "omega_Q", "omega_1", "upsilon")},
+    "effective_hamiltonian": ("omega_Q", 1, None, lambda v: effective_hamiltonian(SYS, v, 1)),
+    "atom_field_kappa": ("kappa", 1, None, lambda v: atom_field_hamiltonian(SYS, v, 3.0)),
+    "atom_field_nbar": ("nbar", 1, -1.0, lambda v: atom_field_hamiltonian(SYS, 7.0, v)),
+    "cat_time": ("nu_Q", 1, 0, cat_time),
+    "schedule_nu_Q": ("nu_Q", 1, -NU_Q, lambda v: free_evolution_schedule(SYS, 1, v, [1])[0]),
+    "coherent_vartheta": ("vartheta", 1, 3.2, lambda v: coherent_state(SYS, v, 0.0)),
+    "coherent_varphi": ("varphi", 1, None, lambda v: coherent_state(SYS, 1.0, v)),
+    "segment_omega": ("omega", 1, -1.0, lambda v: PulseSegment(v, 0.0, 1e-6)),
+    "segment_phase": ("phase", 1, None, lambda v: PulseSegment(1.0, v, 1e-6)),
+    "segment_duration": ("duration", 1, 0.0, lambda v: PulseSegment(1.0, 0.0, v)),
+    "smp_amplitude_cap": ("amplitude_cap", 1, 0.0, lambda v: smp_fidelity(amplitude_cap=v)),
+    "smp_delta_t": ("delta_t", 1, -1e-6, lambda v: smp_fidelity(delta_t=v)),
+    "measure_noise_sigma": ("noise_sigma", 1, -0.5, lambda v: measure(
+        SYS, RHO, pulse_set(SYS), NMR, noise_sigma=v, seed=3)),
+    "expm_hermitian": ("t", 1, None, lambda v: expm_hermitian(H_EFF, v)),
+    "evolve": ("t", 1, None, lambda v: evolve(RHO, H_EFF, v)),
+    "reduced_wigner_d": ("theta", 1, None, lambda v: reduced_wigner_d(1.5, v)),
+    "rotation_alpha": ("alpha", 1, None, lambda v: rotation_operator(SYS, v, 0.5, 0.25)),
+    "rotation_beta": ("beta", 1, None, lambda v: rotation_operator(SYS, 0.5, v, 0.25)),
+    "rotation_gamma": ("gamma", 1, None, lambda v: rotation_operator(SYS, 0.5, 0.25, v)),
+}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_real_argument_follows_one_policy(site):
+    # ints and floats, numpy's too, give the float's result; bools, strings, None, complex
+    # numbers, arrays, NaN, infinities and values out of bounds are refused by the argument's name
+    name, x, outside, call = REAL_SITES[site]
+    want = call(float(x))
+    for same in (x, np.float32(x), np.float64(x), np.int64(x)):
+        assert np.array_equal(call(same), want), same
+    bad = (True, np.True_, str(x), None, x + 0j, np.array([x, 2.0]), np.nan, np.inf, -np.inf)
+    for value in bad + (() if outside is None else (outside,)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call(value)
+
+
+def test_require_real_states_its_bounds():
+    assert type(require_real(np.int64(2), "x")) is float
+    assert require_real(np.float32(0.5), "x") == 0.5 and require_real(0, "x", minimum=0) == 0
+    assert require_real(np.pi, "x", maximum=np.pi) == np.pi
+    for kw, bad, says in [({"minimum": 0}, -1, ">= 0"), ({"exclusive_minimum": 0}, 0.0, "> 0"),
+                          ({"minimum": 0, "maximum": 1}, 1.5, ">= 0, <= 1")]:
+        message = f"x must be finite and real, {says}, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            require_real(bad, "x", **kw)
+
+
+@pytest.mark.parametrize("I", [0.5, 1, 1.5, 7.5, 20, 0.25, 0.7, 1.5 + 1e-13, 1.5 - 1e-15,
+                               3 + 1e-12, 0, -0.5])
+def test_spin_follows_the_config_rule(I):
+    # 2I a positive integer exactly, as the config's multipleOf 0.5 reads it: a near miss is
+    # refused, not kept as a spin with a band and a design of its own, and every numeric type
+    # of an accepted value makes the same spin
+    if not jsonschema.Draft202012Validator(CONFIG_SCHEMA["properties"]["spin"]).is_valid(I):
+        message = f"2I must be a positive integer, got I={I!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpinSystem(I)
+        return
+    for same in (float(I), np.float64(I), np.float32(I)):
+        assert SpinSystem(same) == SpinSystem(I) and hash(SpinSystem(same)) == hash(SpinSystem(I))
+
+
+@pytest.mark.parametrize("I", [True, np.True_, "1.5", None, 1.5 + 0j, np.array([1.5])])
+def test_spin_must_be_a_real_number(I):
+    with pytest.raises(ValueError, match="2I must be a positive integer, got I="):
+        SpinSystem(I)
+
+
+@pytest.mark.parametrize("L", [0.3, -1, -0.5, 1.5 + 1e-13, True, "1", None])
+def test_reduced_wigner_d_refuses_a_rank_that_is_not_a_half_integer(L):
+    with pytest.raises(ValueError, match="rank must be a non-negative half-integer"):
+        reduced_wigner_d(L, 0.1)
 
 
 def test_invalid_spin():

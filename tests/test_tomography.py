@@ -15,7 +15,8 @@ from spincat import tomography
 from spincat.states import cat_state, coherent_state, fidelity, projector
 from spincat.tomography import (PulseSet, TomographyPulse, TomographyRankError,
                                 build_design_matrix, coherence_cycle, measure, pulse_set,
-                                reconstruct, synthesize_spectrum, zero_order_cycle)
+                                SpectrumLines, reconstruct, synthesize_spectrum,
+                                zero_order_cycle)
 
 NU_Q = 15220.0
 SYS = SpinSystem(1.5)
@@ -640,6 +641,20 @@ def test_wrong_sized_density_matrix_is_refused(d):
 def test_measure_refuses_negative_or_nan_noise(sigma):
     with pytest.raises(ValueError, match="noise_sigma"):
         measure(SYS, np.eye(4) / 4, pulse_set(SYS), NMR, noise_sigma=sigma, seed=0)
+
+
+@pytest.mark.parametrize("call", ["measure", "build_design_matrix", "synthesize_spectrum"])
+def test_unknown_mode_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        {"measure": lambda: measure(SYS, np.eye(4) / 4, pulse_set(SYS), NMR, "bogus"),
+         "build_design_matrix": lambda: build_design_matrix(SYS, pulse_set(SYS), NMR, "bogus"),
+         "synthesize_spectrum": lambda: synthesize_spectrum(
+             SYS, np.eye(4) / 4, zero_order_cycle(SYS)[0], NMR, "bogus")}[call]()
+
+
+def test_spectrum_lines_refuse_unequal_lengths():
+    with pytest.raises(ValueError, match="frequency/amplitude length mismatch"):
+        SpectrumLines(np.zeros(3), np.zeros(2, dtype=complex))
 
 
 @settings(max_examples=40, deadline=None)

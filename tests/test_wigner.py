@@ -44,6 +44,17 @@ def test_spherical_harmonic_examples():
         spherical_harmonic(2, 3, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("name, K, Q", [("K", True, 0), ("K", 1.5, 0), ("K", np.nan, 0),
+                                         ("K", "1", 0), ("K", None, 0), ("K", -1, 0),
+                                         ("Q", 1, True), ("Q", 1, 0.5), ("Q", 1, np.inf),
+                                         ("Q", 1, "0")])
+def test_spherical_harmonic_reads_rank_and_order_as_integers(name, K, Q):
+    # refused by name, not inside scipy with an unnamed TypeError, nor taken as K = 1 for True
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        spherical_harmonic(K, Q, 0.3, 0.4)
+    assert spherical_harmonic(np.int64(2), 2.0, 0.3, 0.4) == spherical_harmonic(2, 2, 0.3, 0.4)
+
+
 def test_polar_harmonics_match_scipy():
     # every rank a map needs up to the spin cap of 20 (2I = 40), every order
     from scipy.special import sph_harm_y
