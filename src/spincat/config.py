@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .spin_ops import _real
 from .states import NA23_EPSILON
 
 CONFIG_SCHEMA = {
@@ -80,8 +81,8 @@ def _suggest(key: str, names=CONFIG_SCHEMA["properties"]) -> str:
 _TYPES = {"string": str, "number": (int, float), "integer": (int, float, np.integer),
           "array": (list, tuple)}
 _KEYWORDS = {
-    "type": lambda v, t: (isinstance(v, _TYPES[t]) and not isinstance(v, bool) and (
-        not isinstance(v, float) or np.isfinite(v) and (t == "number" or v.is_integer()))),
+    "type": lambda v, t: isinstance(v, _TYPES[t]) and not isinstance(v, bool) and (
+        np.isfinite(_real(v)) if t == "number" else not isinstance(v, float) or v.is_integer()),
     "enum": lambda v, e: v in e,
     "minimum": lambda v, m: v >= m,
     "exclusiveMinimum": lambda v, m: v > m,
@@ -94,8 +95,8 @@ _KEYWORDS = {
 
 
 def _broken(v, spec: dict):
-    """First keyword of a property's schema that v breaks, or None; type comes first. A
-    bool is not a number, a JSON number is finite and "integer" takes integral floats."""
+    """First keyword of a property's schema that v breaks, or None; type comes first. A bool is
+    no number, a "number" reads as `require_real` reads it, an "integer" is any whole number."""
     return next((w for w, ok in _KEYWORDS.items() if w in spec and not ok(v, spec[w])), None)
 
 

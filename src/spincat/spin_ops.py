@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-_REALS = (int, float, np.integer, np.floating)   # and not bool, a flag
+_REALS = (float, int, np.floating, np.integer)   # and not bool, a flag
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,27 @@ def require_integer(value, name, minimum=None) -> int:
     size: ints and numpy integers pass, and so do integral floats (numpy's too), as a JSON
     config may write 16.0; bools, which are flags and not numbers, fractions, NaN, infinities
     and every other type are refused, as is a value below minimum."""
-    whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
-    n = int(value) if whole else value
-    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-            or minimum is not None and n < minimum):
+    n = int(value) if _real(value).is_integer() else value   # an int past 2^1024 stays an int
+    if type(n) is not int or minimum is not None and n < minimum:   # a bool reads NaN: not an int
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
-    return int(n)
+    return n
+
+
+def _real(value) -> float:
+    """The one reading of a real: a non-bool int or float, numpy's too, as a float, else NaN."""
+    try:
+        return float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
+    except OverflowError:   # an int past the double range
+        return math.nan
 
 
 def require_real(value, name, minimum=-math.inf, maximum=math.inf,
                  exclusive_minimum=-math.inf) -> float:
     """value as a float, or a ValueError that starts "{name} must be finite".  Ints and floats,
-    numpy's too, pass; bools, complex numbers, strings, None, arrays, NaN, infinities and values
-    outside the bounds (named as CONFIG_SCHEMA names them) are refused: one policy for reals."""
-    x = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
-    if exclusive_minimum < x < math.inf and minimum <= x <= maximum:   # NaN fails every test
+    numpy's too, pass; bools, complex numbers, strings, None, arrays, NaN, infinities, ints past
+    the double range and values outside the bounds (CONFIG_SCHEMA's names) are refused."""
+    if exclusive_minimum < (x := _real(value)) < math.inf and minimum <= x <= maximum:
         return x
     bounds = "".join(f", {op} {b}" for op, b in (
         (">", exclusive_minimum), (">=", minimum), ("<=", maximum)) if math.isfinite(b))
@@ -84,8 +89,8 @@ def require_real(value, name, minimum=-math.inf, maximum=math.inf,
 
 def _twice_half_integer(value, least: int, message: str) -> int:
     """int(2 value) if 2 value is exactly an integer >= least (multipleOf 0.5), else ValueError."""
-    twice = 2.0 * value if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
-    if not (twice >= least and float(twice).is_integer()):
+    twice = 2 * _real(value)
+    if not (twice >= least and twice.is_integer()):
         raise ValueError(message)
     return int(twice)
 
@@ -255,6 +260,7 @@ def rotation_operator(sys: SpinSystem, alpha: float, beta: float, gamma: float) 
 
 def euler_rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """The corresponding 3x3 rotation Rz(alpha) Ry(beta) Rz(gamma) on vectors."""
+    alpha, beta, gamma = map(require_real, (alpha, beta, gamma), ("alpha", "beta", "gamma"))
 
     def Rz(t):
         return np.array([[np.cos(t), -np.sin(t), 0], [np.sin(t), np.cos(t), 0], [0, 0, 1.0]])

@@ -50,7 +50,7 @@ def cat_state(sys: SpinSystem, vartheta: float, varphi: float, p: int) -> np.nda
     by e^{-4 pi i I} = 1 and delta by -4 pi, so p is reduced mod 8 as an int
     first and the state is exact for any p.
     """
-    p = require_integer(p, "p") % 8
+    p, varphi = require_integer(p, "p") % 8, require_real(varphi, "varphi")
     I = sys.I
     delta = -np.pi * (2 * I + p) / 2
     G = np.exp(1j * np.pi * (I * (I + 1) / 3 - I * I - p * I) / 2)

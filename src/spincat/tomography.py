@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_ops import (SpinSystem, _wigner_d_rows, angular_momentum, from_tensor_coefficients,
-                       require_hermitian, require_integer, require_real, tensor_band,
-                       tensor_coefficients, tensor_keys)
+from .spin_ops import (SpinSystem, _real, _wigner_d_rows, angular_momentum,
+                       from_tensor_coefficients, require_hermitian, require_integer, require_real,
+                       tensor_band, tensor_coefficients, tensor_keys)
 from .dynamics import NmrParams
 from .states import fidelity
 
@@ -108,7 +108,7 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
     """N-step cycle isolating order q; N = 4I+1 avoids aliasing over the
     available orders -2I..2I."""
     twoI = round(2 * sys.I)
-    q = require_integer(q, "q")
+    q, theta = require_integer(q, "q"), require_real(theta, "theta")
     if abs(q) > twoI:
         raise ValueError(f"|q| must be <= {twoI}")
     N = 2 * twoI + 1
@@ -124,7 +124,12 @@ class PulseSet(tuple):
         if type(cycles) is cls:
             return cycles
         self = super().__new__(cls, map(tuple, cycles))
-        self._hash = tuple.__hash__(self)
+        try:
+            self._hash = tuple.__hash__(self)
+        except TypeError:   # an unhashable pulse, a list say, is refused by name
+            for c, cycle in enumerate(self):
+                _cycle_angles(cycle, f"cycle {c}")
+            raise
         return self
 
     def __hash__(self):
@@ -149,6 +154,18 @@ def _pulse_cycles(sys: SpinSystem, nutation_angles: tuple) -> PulseSet:
         coherence_cycle(sys, q, theta) for theta in nutation_angles for q in range(-n, n + 1)])
 
 
+def _cycle_angles(cycle, where: str) -> np.ndarray:
+    """A cycle's (n >= 1, 3) float angles; a pulse is a tuple of 3 finite reals, else ValueError."""
+    if not cycle:
+        raise ValueError(f"{where} has no pulses")
+    if bad := [k for k, p in enumerate(cycle) if not (isinstance(p, tuple) and len(p) == 3)]:
+        raise ValueError(f"{where}: pulse {bad[0]} is not a tuple of 3 angles: {cycle[bad[0]]!r}")
+    angles = np.array([_real(a) for pulse in cycle for a in pulse]).reshape(-1, 3)
+    for k, a in zip(*np.nonzero(~np.isfinite(angles))):   # the first angle that is not a real
+        require_real(cycle[k][a], f"{where}: pulse {k} {TomographyPulse._fields[a]}")
+    return angles
+
+
 def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
     """gG[j, K] = g_j (T_K,-1)_{j+1,j}, 0 at K = 0: g the I+ gain, times (-1)^d in fid mode."""
     if mode not in ("coherence", "fid"):
@@ -169,10 +186,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
     gG = _line_gains(sys, mode)
     if not cycles:
         raise ValueError("the pulse set has no cycles")
-    pulses = [np.array(cycle) for cycle in cycles]
-    for c, p in enumerate(pulses):
-        if not (p.size and np.isfinite(p).all()):
-            raise ValueError(f"cycle {c} has {'a non-finite angle' if p.size else 'no pulses'}")
+    pulses = [_cycle_angles(cycle, f"cycle {c}") for c, cycle in enumerate(cycles)]
     (band, _, K, Q, _), d, i = tensor_band(sys), sys.d, np.arange(sys.d)
     orders = np.arange(1 - d, d)
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
@@ -243,9 +257,7 @@ def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse
     between m+1 and m, is sum_KQ gG[j, K] e^{i(alpha + (phi - pi/2)(1 + Q))} d^K_{-1,Q}(theta) c_KQ.
     """
     require_hermitian(rho, "density matrix")
-    gG, (theta, phi, alpha) = _line_gains(sys, mode), pulse
-    if not np.isfinite(pulse).all():
-        raise ValueError("the pulse has a non-finite angle")
+    gG, ((theta, phi, alpha),) = _line_gains(sys, mode), _cycle_angles((pulse,), "the spectrum")
     (_, _, K, Q, _), twoI = tensor_band(sys), sys.d - 1
     D = _wigner_d_rows(twoI, -1, np.array([theta]))[K, twoI + Q, 0]
     c = np.exp(1j * (alpha + (phi - np.pi / 2) * (1 + Q))) * D * tensor_coefficients(sys, rho)
@@ -264,14 +276,13 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     """
     require_hermitian(rho, "density matrix")
     noise_sigma = require_real(noise_sigma, "noise_sigma", minimum=0)
-    cycles = PulseSet(cycles)
-    design = _closed_form(sys, cycles, mode)
+    design = _closed_form(sys, PulseSet(cycles), mode)
     B = _apply(design.stacks, tensor_coefficients(sys, rho), design.n_rows)
     if noise_sigma > 0:
         scale = max(np.abs(B[:-1]).max(), 1e-300) * noise_sigma / design.sqrt_pulses
         # 1 / sqrt(2), not sqrt(0.5), which is one ulp larger and would change noisy outputs
         noise = np.random.default_rng(seed).normal(scale=1 / np.sqrt(2),
-                                                   size=(len(cycles), sys.d - 1, 2))
+                                                   size=(len(scale), sys.d - 1, 2))
         B[:-1] += (scale[:, None] * (noise[..., 0] + 1j * noise[..., 1])).ravel()
     return B
 

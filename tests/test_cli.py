@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spincat
 from spincat import spin_ops, tomography, wigner
@@ -187,8 +187,8 @@ def _near(spec):
     return ints | st.floats(lo - 1, hi + 1)
 
 
-# any JSON value, and exact edges of the schema; JSON has no NaN or infinity,
-# which _check_schema rejects and JSON Schema accepts
+# any JSON value, and exact edges of the schema; JSON has no NaN or infinity, and these
+# numbers stay in the double range: _check_schema rejects all three and JSON Schema accepts them
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-10**20, 10**20)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
@@ -255,7 +255,7 @@ _RUNNABLE = {
     "checkpoints": st.lists(st.integers(0, 4), min_size=1, max_size=3),
 }
 _REJECTED = st.sampled_from([None, True, "1", [], {}, -1, 0, 0.25, 1.2, 7, 7.5, 2049,
-                             [-1], [0.5]])
+                             [-1], [0.5], 10**400, -10**400])
 
 
 def _runnable_value(key):
@@ -272,6 +272,10 @@ _SMALL_CONFIGS = st.fixed_dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(data=_SMALL_CONFIGS)
+@example(data={"spin": 1.5, "nu_Q": 10**400, "p": 1, "checkpoints": [1], "n_theta": 8,
+               "n_phi": 8})   # a number no double holds: refused by name, not an OverflowError
+@example(data={"spin": 1.5, "nu_Q": 15220.0, "p": 1, "checkpoints": [1], "n_theta": 8,
+               "n_phi": 8, "varphi": -10**400})
 def test_any_config_is_rejected_by_name_or_runs(data, tmp_path_factory):
     try:
         cfg = validate_config(data)

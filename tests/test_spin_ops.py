@@ -16,12 +16,13 @@ from spincat.dynamics import (NmrParams, atom_field_hamiltonian, cat_time, effec
                               evolve, free_evolution_schedule, nmr_hamiltonian)
 from spincat.smp import PulseSegment, optimize_smp
 from spincat.spin_ops import (HERMITICITY_TOL, SpinSystem, _wigner_d_rows, angular_momentum,
-                              expm_hermitian, from_tensor_coefficients, reduced_wigner_d,
-                              require_hermitian, require_integer, require_real, rotation_operator,
-                              spherical_tensor_basis, tensor_band, tensor_coefficients,
-                              tensor_keys, tensor_stack)
+                              euler_rotation_matrix, expm_hermitian, from_tensor_coefficients,
+                              reduced_wigner_d, require_hermitian, require_integer, require_real,
+                              rotation_operator, spherical_tensor_basis, tensor_band,
+                              tensor_coefficients, tensor_keys, tensor_stack)
 from spincat.states import cat_state, coherent_state, fidelity
-from spincat.tomography import measure, pulse_set
+from spincat.tomography import (TomographyPulse, coherence_cycle, measure, pulse_set,
+                                synthesize_spectrum)
 from spincat.wigner import wigner_function, wigner_point
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0]
@@ -429,6 +430,14 @@ REAL_SITES = {
     "rotation_alpha": ("alpha", 1, None, lambda v: rotation_operator(SYS, v, 0.5, 0.25)),
     "rotation_beta": ("beta", 1, None, lambda v: rotation_operator(SYS, 0.5, v, 0.25)),
     "rotation_gamma": ("gamma", 1, None, lambda v: rotation_operator(SYS, 0.5, 0.25, v)),
+    "euler_alpha": ("alpha", 1, None, lambda v: euler_rotation_matrix(v, 0.5, 0.25)),
+    "euler_beta": ("beta", 1, None, lambda v: euler_rotation_matrix(0.5, v, 0.25)),
+    "euler_gamma": ("gamma", 1, None, lambda v: euler_rotation_matrix(0.5, 0.25, v)),
+    "coherence_cycle_theta": ("theta", 1, None, lambda v: coherence_cycle(SYS, 1, v)),
+    "cat_state_varphi": ("varphi", 1, None, lambda v: cat_state(SYS, 1.0, v, 1)),
+    **{f"spectrum_{name}": (name, 1, None, lambda v, at=at: synthesize_spectrum(
+        SYS, RHO, TomographyPulse(*[v if k == at else 0.3 for k in range(3)]), NMR).amplitudes)
+       for at, name in enumerate(TomographyPulse._fields)},
 }
 
 
@@ -440,7 +449,8 @@ def test_every_real_argument_follows_one_policy(site):
     want = call(float(x))
     for same in (x, np.float32(x), np.float64(x), np.int64(x)):
         assert np.array_equal(call(same), want), same
-    bad = (True, np.True_, str(x), None, x + 0j, np.array([x, 2.0]), np.nan, np.inf, -np.inf)
+    bad = (True, np.True_, str(x), None, x + 0j, np.array([x, 2.0]), np.nan, np.inf, -np.inf,
+           10**400)
     for value in bad + (() if outside is None else (outside,)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             call(value)
@@ -458,7 +468,7 @@ def test_require_real_states_its_bounds():
 
 
 @pytest.mark.parametrize("I", [0.5, 1, 1.5, 7.5, 20, 0.25, 0.7, 1.5 + 1e-13, 1.5 - 1e-15,
-                               3 + 1e-12, 0, -0.5])
+                               3 + 1e-12, 0, -0.5, pytest.param(10**400, id="10**400")])
 def test_spin_follows_the_config_rule(I):
     # 2I a positive integer exactly, as the config's multipleOf 0.5 reads it: a near miss is
     # refused, not kept as a spin with a band and a design of its own, and every numeric type

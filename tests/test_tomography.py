@@ -1,5 +1,6 @@
 """Simulated tomography: phase cycling, design matrix, reconstruction."""
 
+import re
 import time
 
 import numpy as np
@@ -416,13 +417,38 @@ def test_non_finite_pulse_angle_is_refused(angle, value):
     pulse[angle] = value
     cycles = list(pulse_set(SYS)) + [[TomographyPulse(np.pi / 4, 0.0, 0.0),
                                       TomographyPulse(*pulse)]]
+    name = TomographyPulse._fields[angle]
     for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
-                 lambda: build_design_matrix(SYS, cycles, NMR),
-                 lambda: synthesize_spectrum(SYS, np.eye(4) / 4, TomographyPulse(*pulse), NMR)):
-        with pytest.raises(ValueError, match="has a non-finite angle"):
+                 lambda: build_design_matrix(SYS, cycles, NMR)):
+        with pytest.raises(ValueError, match=f"cycle 15: pulse 1 {name} must be finite"):
             call()
-    with pytest.raises(ValueError, match="cycle 15 has a non-finite angle"):
-        measure(SYS, np.eye(4) / 4, cycles, NMR)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        synthesize_spectrum(SYS, np.eye(4) / 4, TomographyPulse(*pulse), NMR)
+
+
+_P = TomographyPulse(np.pi / 4, 0.0, 0.0)
+MALFORMED_CYCLES = {   # a cycle, and how its first bad pulse is refused
+    "list": ([_P, [np.pi / 2, 0.3, 0.0]], "pulse 1 is not a tuple of 3 angles: [1.57"),
+    "scalar": ([_P, np.pi / 2], "pulse 1 is not a tuple of 3 angles: 1.57"),
+    "two angles": ([(np.pi / 2, 0.3), (np.pi / 4, 0.0)], "pulse 0 is not a tuple of 3 angles"),
+    "four angles": ([(np.pi / 2, 0.3, 0.0, 0.1)] * 2, "pulse 0 is not a tuple of 3 angles"),
+    "ragged": ([_P, (np.pi / 2, 0.3)], "pulse 1 is not a tuple of 3 angles: (1.57"),
+    "bool": ([_P, TomographyPulse(True, 0.3, 0.0)], "pulse 1 theta_qst must be finite and real"),
+    "string": ([_P, TomographyPulse(1.0, "0.3", 0.0)], "pulse 1 phi_qst must be finite and real"),
+    "huge": ([_P, TomographyPulse(1.0, 0.3, 10**400)], "pulse 1 alpha_qst must be finite and real"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CYCLES)
+def test_malformed_pulse_is_refused_by_name(case):
+    # a pulse is a tuple of three finite real angles; anything else is refused naming its cycle,
+    # not with "unhashable type", an IndexError, a failed unpacking or a 1 rad nutation
+    cycle, says = MALFORMED_CYCLES[case]
+    cycles = list(pulse_set(SYS)) + [cycle]
+    for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
+                 lambda: build_design_matrix(SYS, cycles, NMR)):
+        with pytest.raises(ValueError, match=re.escape(f"cycle 15: {says}")):
+            call()
 
 
 @pytest.mark.parametrize("spin", [1.5, 2.0, 3.5])
