@@ -11,11 +11,11 @@ Iz deviation into an effective pure-state deviation.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_ops import SpinSystem, angular_momentum, expm_hermitian, require_integer, require_real
+from .spin_ops import SpinSystem, angular_momentum, require_integer, require_real
 from .states import projector, traceless_part
 from .dynamics import NmrParams, nmr_hamiltonian
 
@@ -23,6 +23,9 @@ from .dynamics import NmrParams, nmr_hamiltonian
 # amplitude itself leaves no rotation headroom to differentiate the
 # modulations and stalls the achievable fidelity (see notes in README)
 DEFAULT_AMPLITUDE_CAP = 2 * np.pi * 50e3
+# a segment's fields: its attribute, its key in PulseSequence.to_json and its bounds
+_FIELDS = (("omega", "amplitude_hz", {"minimum": 0}), ("phase", "phase_deg", {}),
+           ("duration", "duration_us", {"exclusive_minimum": 0}))
 
 
 @dataclass(frozen=True)
@@ -32,14 +35,8 @@ class PulseSegment:
     duration: float    # s
 
     def __post_init__(self):
-        for name, bound in (("omega", {"minimum": 0}), ("phase", {}),
-                            ("duration", {"exclusive_minimum": 0})):
+        for name, _, bound in _FIELDS:
             object.__setattr__(self, name, require_real(getattr(self, name), name, **bound))
-
-
-def delay(duration: float) -> PulseSegment:
-    """Free-evolution interval (zero RF amplitude)."""
-    return PulseSegment(0.0, 0.0, duration)
 
 
 @dataclass
@@ -61,42 +58,18 @@ class PulseSequence:
 
     @classmethod
     def from_json(cls, text: str) -> "PulseSequence":
-        payload = json.loads(text)
-        segs = [PulseSegment(2 * np.pi * s["amplitude_hz"],
-                             np.radians(s["phase_deg"]),
-                             s["duration_us"] * 1e-6)
-                for s in payload["segments"]]
+        """The inverse of to_json.  A missing key, or a value that is not a finite real (a bool
+        is not) within its bounds, is a ValueError naming the segment and the key."""
+        payload, segs = json.loads(text), []
+        if not (isinstance(payload, dict) and isinstance(payload.get("segments"), list)):
+            raise ValueError('a pulse sequence is a JSON object with a "segments" list')
+        for k, s in enumerate(payload["segments"]):
+            if missing := [key for _, key, _ in _FIELDS if not isinstance(s, dict) or key not in s]:
+                raise ValueError(f"segment {k} has no {missing[0]!r}")
+            hz, deg, us = (require_real(s[key], f"segment {k} {key}", **bound)
+                           for _, key, bound in _FIELDS)
+            segs.append(PulseSegment(2 * np.pi * hz, np.radians(deg), us * 1e-6))
         return cls(segs, payload.get("metadata", {}))
-
-
-def segment_hamiltonian(sys: SpinSystem, seg: PulseSegment, nmr: NmrParams) -> np.ndarray:
-    return nmr_hamiltonian(sys, replace(nmr, omega_1=seg.omega, upsilon=seg.phase))
-
-
-def sequence_propagator(sys: SpinSystem, seq: PulseSequence, nmr: NmrParams) -> np.ndarray:
-    U = np.eye(sys.d, dtype=complex)
-    for seg in seq.segments:
-        U = expm_hermitian(segment_hamiltonian(sys, seg, nmr), seg.duration) @ U
-    return U
-
-
-def simulate_sequence(sys: SpinSystem, rho0: np.ndarray, seq: PulseSequence,
-                      nmr: NmrParams) -> np.ndarray:
-    U = sequence_propagator(sys, seq, nmr)
-    return U @ rho0 @ U.conj().T
-
-
-def temporal_average(sys: SpinSystem, variants, rho0: np.ndarray,
-                     nmr: NmrParams) -> np.ndarray:
-    """Arithmetic mean of the deviation matrix evolved under each variant."""
-    if not variants:
-        raise ValueError("need at least one pulse sequence")
-    if rho0.shape != (sys.d, sys.d):
-        raise ValueError("deviation matrix dimension mismatch")
-    acc = np.zeros((sys.d, sys.d), dtype=complex)
-    for seq in variants:
-        acc += simulate_sequence(sys, rho0, seq, nmr)
-    return acc / len(variants)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +140,6 @@ class SmpResult:
     history: list             # best objective value after each evaluation
     evaluations: int
     starts: list  # per start run: L-BFGS-B message, nit, nfev and its best fidelity
-
-    @property
-    def sequence(self) -> PulseSequence:
-        return self.variants[0]
 
 
 def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg):

@@ -22,17 +22,15 @@ is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 
 PulseSet, hashed once and the key of its design: `pulse_set` hands out one shared PulseSet per
 (spin, angles), and any other list or tuple of cycles is wrapped into one per call.
 
-"fid" mode detects the lines at the start of acquisition, after they
-have precessed through the receiver-protection delay 1/nu_Q.  This is
-the exact closed form of a noise-free least-squares fit of the sampled
-free induction decay (4,096 points, 12 us apart) to the known line
-frequencies; T2 decay cancels in that fit.  The line at (nu_Q/2)(2m+1)
-turns through pi(2m+1) in that delay, a sign (-1)^d for every line at
-every nu_Q, so no map depends on the NMR parameters.
+"fid" mode reads the lines after the receiver-protection delay 1/nu_Q, in which the line at
+(nu_Q/2)(2m+1) turns through pi(2m+1): every line gain times (-1)^d, at every nu_Q, so no map
+reads the NMR parameters.  No free induction decay is sampled or fitted.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -118,19 +116,21 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
 
 class PulseSet(tuple):
     """An immutable pulse set, the handle its compiled design is cached under: a tuple of
-    cycles, each a tuple of pulses, hashed once when built.  PulseSet(ps) is ps itself."""
+    cycles, each a tuple of pulses, hashed once when built.  PulseSet(ps) is ps itself.  Its
+    angles are ints and floats, whose == is their value's (True == 1.0): `_cycle_angles` reads
+    any other angle as a float, or refuses it by name, before the set is a key."""
 
     def __new__(cls, cycles):
         if type(cycles) is cls:
             return cycles
         self = super().__new__(cls, map(tuple, cycles))
-        try:
-            self._hash = tuple.__hash__(self)
-        except TypeError:   # an unhashable pulse, a list say, is refused by name
-            for c, cycle in enumerate(self):
-                _cycle_angles(cycle, f"cycle {c}")
-            raise
-        return self
+        with suppress(TypeError):   # a scalar pulse has no angles, a list pulse no hash
+            angles = chain.from_iterable(chain.from_iterable(self))
+            if set(map(type, angles)) <= {float, int, np.float64}:
+                self._hash = tuple.__hash__(self)
+                return self
+        return cls(tuple(map(TomographyPulse._make, _cycle_angles(cycle, f"cycle {c}").tolist()))
+                   for c, cycle in enumerate(self))
 
     def __hash__(self):
         return self._hash
@@ -144,7 +144,7 @@ def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
     tensor components whose reduced rotation elements d^L_{+-1,m}(pi/2)
     vanish (e.g. rank 2, m = 0), so a second angle fills those in.
     """
-    return _pulse_cycles(sys, tuple(nutation_angles))
+    return _pulse_cycles(sys, tuple(require_real(a, "nutation angle") for a in nutation_angles))
 
 
 @lru_cache(maxsize=4)

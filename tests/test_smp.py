@@ -1,16 +1,19 @@
 """Strongly modulating pulse design: simulation, gradients, optimization."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import spincat.smp
 from spincat.dynamics import NmrParams
-from spincat.smp import (PulseSegment, PulseSequence, delay, objective_for_test,
-                         optimize_smp, segment_hamiltonian, sequence_propagator,
-                         simulate_sequence, temporal_average)
+from spincat.smp import PulseSegment, PulseSequence, objective_for_test, optimize_smp
 from spincat.spin_ops import SpinSystem, angular_momentum
 from spincat.states import coherent_state, fidelity, projector, traceless_part
+from smp_oracle import (segment_hamiltonian, sequence_propagator, simulate_sequence,
+                        temporal_average)
 
 SYS = SpinSystem(1.5)
 NU_Q = 15220.0
@@ -34,12 +37,6 @@ def test_segment_validation():
 def test_empty_sequence_is_identity():
     U = sequence_propagator(SYS, PulseSequence([]), NMR)
     assert np.allclose(U, np.eye(4), atol=1e-14)
-
-
-def test_delay_segment():
-    seg = delay(3e-6)
-    assert seg.omega == 0.0
-    assert seg.duration == 3e-6
 
 
 def test_hard_pulse_rotates_iz_to_ix():
@@ -66,7 +63,7 @@ def test_simulation_preserves_trace_and_norm():
     rho = rng.normal(size=(4, 4))
     rho = rho + rho.T
     seq = PulseSequence([PulseSegment(2 * np.pi * 30e3, 1.0, 2e-6),
-                         delay(1e-6),
+                         PulseSegment(0.0, 0.0, 1e-6),
                          PulseSegment(2 * np.pi * 10e3, 4.0, 3e-6)])
     out = simulate_sequence(SYS, rho.astype(complex), seq, NMR)
     assert abs(np.trace(out) - np.trace(rho)) < 1e-10
@@ -81,7 +78,7 @@ def test_single_segment_analytic_recovery():
     res = optimize_smp(SYS, NO_Q, target, n_segments=1, delta_t=dt,
                        n_variants=1, n_starts=2, seed=3,
                        amplitude_cap=2 * np.pi * 60e3)
-    seg = res.sequence.segments[0]
+    seg = res.variants[0].segments[0]
     assert abs(seg.omega * dt - np.pi / 2) < 0.01 * (np.pi / 2)
 
 
@@ -185,7 +182,9 @@ def test_gradient_at_zero_amplitude_matches_frechet_reference(I, nmr):
 
 
 def check_objective_against_temporal_average(nmr):
-    """The optimizer's objective against the independent simulation path."""
+    """The optimizer's objective against the independent simulation path, at a random point
+    and at the variants of a short optimize_smp run, whose amplitudes are clipped at 0 and
+    whose phases are wrapped into [0, 2 pi) as the result is assembled."""
     target = coherent_state(SYS, np.pi / 2, 0.0)
     nv, ns, dt = 3, 5, 0.5e-6
     x = random_point(np.random.default_rng(4), nv, ns, cap_hz=50e3)
@@ -193,10 +192,17 @@ def check_objective_against_temporal_average(nmr):
     variants = [PulseSequence([PulseSegment(w, ph, dt) for w, ph in xs[v]])
                 for v in range(nv)]
     ops = angular_momentum(SYS)
-    avg = temporal_average(SYS, variants, ops.Iz.copy(), nmr)
     dev = traceless_part(projector(target))
-    F = np.trace(avg @ dev).real / (np.linalg.norm(avg) * np.linalg.norm(dev))
+
+    def oracle_fidelity(seqs):
+        avg = temporal_average(SYS, seqs, ops.Iz.copy(), nmr)
+        return np.trace(avg @ dev).real / (np.linalg.norm(avg) * np.linalg.norm(dev))
+
+    F = oracle_fidelity(variants)
     assert abs(-objective_for_test(SYS, nmr, target, x, dt, nv, ns)[0] - F) < 1e-12
+    res = optimize_smp(SYS, nmr, target, n_segments=ns, delta_t=dt, budget=50,
+                       n_variants=nv, seed=4)
+    assert abs(oracle_fidelity(res.variants) - res.fidelity) < 1e-12
 
 
 def test_objective_is_fidelity_of_temporal_average():
@@ -305,7 +311,7 @@ def test_temporal_average_contracts():
 
 def test_json_roundtrip():
     seq = PulseSequence([PulseSegment(2 * np.pi * 12e3, 0.77, 2.5e-6),
-                         delay(1e-6)], metadata={"variant": 0})
+                         PulseSegment(0.0, 0.0, 1e-6)], metadata={"variant": 0})
     back = PulseSequence.from_json(seq.to_json())
     assert len(back.segments) == 2
     for a, b in zip(seq.segments, back.segments):
@@ -313,6 +319,23 @@ def test_json_roundtrip():
         assert abs(a.phase - b.phase) < 1e-12
         assert abs(a.duration - b.duration) < 1e-15
     assert back.metadata == seq.metadata
+
+
+def test_from_json_refuses_malformed_segment_by_name():
+    # outside input: a bool is no amplitude, and a string, null or missing field is named,
+    # not taken as 1 Hz or failed in numpy, in float arithmetic or with a bare KeyError
+    good = {"amplitude_hz": 12e3, "phase_deg": 44.1, "duration_us": 2.5}
+    for bad, says in (({**good, "amplitude_hz": True}, "segment 1 amplitude_hz must be finite"),
+                      ({**good, "phase_deg": "44.1"}, "segment 1 phase_deg must be finite"),
+                      ({**good, "duration_us": None}, "segment 1 duration_us must be finite"),
+                      ({**good, "duration_us": -2.5}, "segment 1 duration_us must be finite"),
+                      (dict(list(good.items())[:2]), "segment 1 has no 'duration_us'"),
+                      (5, "segment 1 has no 'amplitude_hz'")):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            PulseSequence.from_json(json.dumps({"segments": [good, bad]}))
+    for text in ("{}", "[]", '{"segments": 3}'):
+        with pytest.raises(ValueError, match='a JSON object with a "segments" list'):
+            PulseSequence.from_json(text)
 
 
 def test_optimizer_input_validation(monkeypatch):

@@ -451,6 +451,20 @@ def test_malformed_pulse_is_refused_by_name(case):
             call()
 
 
+def test_bool_angle_is_refused_after_an_equal_float_set():
+    # True == 1.0 and hashes alike, so neither cache may answer a bool angle with the set or
+    # the design it holds for 1.0: pulse_set's angles and a list-built set are read first
+    pulse_set(SYS, (1.0, np.pi / 4))
+    with pytest.raises(ValueError, match="nutation angle must be finite"):
+        pulse_set(SYS, (True, np.pi / 4))
+    build_design_matrix(SYS, list(pulse_set(SYS)) + [[TomographyPulse(1.0, 0.2, 0.0)]], NMR)
+    cycles = list(pulse_set(SYS)) + [[TomographyPulse(True, 0.2, 0.0)]]
+    for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
+                 lambda: build_design_matrix(SYS, cycles, NMR)):
+        with pytest.raises(ValueError, match=re.escape("cycle 15: pulse 0 theta_qst must be")):
+            call()
+
+
 @pytest.mark.parametrize("spin", [1.5, 2.0, 3.5])
 def test_fid_map_is_signed_coherence_map(spin):
     # the delay 1/nu_Q turns the line at (nu_Q/2)(2m+1) by pi(2m+1): (-1)^d exactly
