@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .spin_ops import _real
-from .states import NA23_EPSILON
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -17,7 +16,6 @@ CONFIG_SCHEMA = {
         "name": {"type": "string"},
         "spin": {"type": "number", "exclusiveMinimum": 0, "maximum": 20, "multipleOf": 0.5},
         "nu_Q": {"type": "number", "minimum": 1},
-        "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "p": {"type": "integer", "minimum": -2**53, "maximum": 2**53},  # integers doubles hold exactly
         "vartheta": {"type": "number", "minimum": 0, "maximum": np.pi},
         "varphi": {"type": "number"},
@@ -46,7 +44,6 @@ class ExperimentConfig:
     p: int
     checkpoints: tuple
     name: str = "custom"
-    epsilon: float = NA23_EPSILON
     vartheta: float = np.pi / 2
     varphi: float = 0.0
     mode: str = "coherence"

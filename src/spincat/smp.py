@@ -22,7 +22,7 @@ from .dynamics import NmrParams, nmr_hamiltonian
 # twice the amplitude of a 10 us pi/2 pulse; a cap at the calibration
 # amplitude itself leaves no rotation headroom to differentiate the
 # modulations and stalls the achievable fidelity (see notes in README)
-DEFAULT_AMPLITUDE_CAP = 2 * np.pi * 50e3
+AMPLITUDE_CAP = 2 * np.pi * 50e3
 # a segment's fields: its attribute, its key in PulseSequence.to_json and its bounds
 _FIELDS = (("omega", "amplitude_hz", {"minimum": 0}), ("phase", "phase_deg", {}),
            ("duration", "duration_us", {"exclusive_minimum": 0}))
@@ -59,17 +59,20 @@ class PulseSequence:
     @classmethod
     def from_json(cls, text: str) -> "PulseSequence":
         """The inverse of to_json.  A missing key, or a value that is not a finite real (a bool
-        is not) within its bounds, is a ValueError naming the segment and the key."""
+        is not) within its bounds, is a ValueError naming the segment and the key; so is a
+        "metadata" that is not a JSON object.  A missing "metadata" reads as {}."""
         payload, segs = json.loads(text), []
         if not (isinstance(payload, dict) and isinstance(payload.get("segments"), list)):
             raise ValueError('a pulse sequence is a JSON object with a "segments" list')
+        if not isinstance(metadata := payload.get("metadata", {}), dict):
+            raise ValueError(f'a pulse sequence\'s "metadata" is a JSON object, not {metadata!r}')
         for k, s in enumerate(payload["segments"]):
             if missing := [key for _, key, _ in _FIELDS if not isinstance(s, dict) or key not in s]:
                 raise ValueError(f"segment {k} has no {missing[0]!r}")
             hz, deg, us = (require_real(s[key], f"segment {k} {key}", **bound)
                            for _, key, bound in _FIELDS)
             segs.append(PulseSegment(2 * np.pi * hz, np.radians(deg), us * 1e-6))
-        return cls(segs, payload.get("metadata", {}))
+        return cls(segs, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -151,32 +154,28 @@ def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg):
 
 def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
                  n_segments: int, delta_t: float, budget: int = 40000,
-                 n_variants: int = 4, n_starts: int = 3, seed: int = 0,
-                 amplitude_cap: float = DEFAULT_AMPLITUDE_CAP) -> SmpResult:
+                 n_variants: int = 4, n_starts: int = 3, seed: int = 0) -> SmpResult:
     """Design n_variants modulations of n_segments slices of length delta_t
     that carry the equilibrium Iz deviation into the target state's
-    deviation under temporal averaging.
+    deviation under temporal averaging, each segment's amplitude in [0, AMPLITUDE_CAP].
 
     L-BFGS-B runs from up to n_starts random start points in turn until
-    budget objective evaluations, counted across all starts, are spent;
-    the result is the best point evaluated.  budget = 0 returns the first
-    start point unchanged, with its fidelity.  Deterministic for a fixed
-    seed.
+    budget >= 1 objective evaluations, counted across all starts, are spent;
+    the result is the best point evaluated.  Deterministic for a fixed seed.
     """
     from scipy.optimize import minimize
 
     n_segments, n_variants, n_starts = (
         require_integer(value, name, 1) for name, value in (
             ("n_segments", n_segments), ("n_variants", n_variants), ("n_starts", n_starts)))
-    budget = require_integer(budget, "budget", 0)
-    amplitude_cap = require_real(amplitude_cap, "amplitude_cap", exclusive_minimum=0)
+    budget = require_integer(budget, "budget", 1)
     delta_t = require_real(delta_t, "delta_t", exclusive_minimum=0)
     args = (*_problem(sys, nmr, target_state), delta_t, n_variants, n_segments)
     rng = np.random.default_rng(seed)
     shape = (n_variants, n_segments)
 
     def start_point():
-        return np.stack([rng.uniform(0.3, 1.0, size=shape) * amplitude_cap,
+        return np.stack([rng.uniform(0.3, 1.0, size=shape) * AMPLITUDE_CAP,
                          rng.uniform(0, 2 * np.pi, size=shape)], axis=-1).ravel()
 
     history, values, starts = [], [], []
@@ -193,25 +192,21 @@ def optimize_smp(sys: SpinSystem, nmr: NmrParams, target_state: np.ndarray,
         values.append(f)
         return f, g
 
-    if budget == 0:
-        best_x = start_point()
-        best_f = _objective_and_gradient(best_x, *args)[0]
-    else:
-        bounds = [(0.0, amplitude_cap), (None, None)] * (n_variants * n_segments)
-        for _ in range(n_starts):
-            if len(history) == budget:
-                break
-            first, steps = len(history), []
-            # maxfun/maxiter at budget: scipy's defaults (15000) would end a start early
-            try:
-                res = minimize(fun, start_point(), jac=True, method="L-BFGS-B", bounds=bounds,
-                               callback=lambda _: steps.append(None),
-                               options={"maxfun": budget, "maxiter": budget,
-                                        "ftol": 1e-14, "gtol": 1e-11})
-            except _BudgetSpent:
-                res = {"message": "budget spent", "nit": len(steps)}
-            starts.append({"message": res["message"], "nit": res["nit"],
-                           "nfev": len(history) - first, "fidelity": -min(values[first:])})
+    bounds = [(0.0, AMPLITUDE_CAP), (None, None)] * (n_variants * n_segments)
+    for _ in range(n_starts):
+        if len(history) == budget:
+            break
+        first, steps = len(history), []
+        # maxfun/maxiter at budget: scipy's defaults (15000) would end a start early
+        try:
+            res = minimize(fun, start_point(), jac=True, method="L-BFGS-B", bounds=bounds,
+                           callback=lambda _: steps.append(None),
+                           options={"maxfun": budget, "maxiter": budget,
+                                    "ftol": 1e-14, "gtol": 1e-11})
+        except _BudgetSpent:
+            res = {"message": "budget spent", "nit": len(steps)}
+        starts.append({"message": res["message"], "nit": res["nit"],
+                       "nfev": len(history) - first, "fidelity": -min(values[first:])})
 
     xb = best_x.reshape(shape + (2,))
     variants = []

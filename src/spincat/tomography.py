@@ -20,7 +20,7 @@ is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 
 2 floor(I/2) blocks in all.  Each pulse set is compiled and factored once, block by block, and
 `measure` applies the same blocks to rho's tensor coefficients.  A pulse set is one immutable
 PulseSet, hashed once and the key of its design: `pulse_set` hands out one shared PulseSet per
-(spin, angles), and any other list or tuple of cycles is wrapped into one per call.
+spin, and any other list or tuple of cycles is wrapped into one per call.
 
 "fid" mode reads the lines after the receiver-protection delay 1/nu_Q, in which the line at
 (nu_Q/2)(2m+1) turns through pi(2m+1): every line gain times (-1)^d, at every nu_Q, so no map
@@ -136,22 +136,18 @@ class PulseSet(tuple):
         return self._hash
 
 
-def pulse_set(sys: SpinSystem, nutation_angles=(np.pi / 2, np.pi / 4)):
+@lru_cache(maxsize=4)
+def pulse_set(sys: SpinSystem) -> PulseSet:
     """Full rotation/phase-cycling set: the literature zero-order quadruple plus cycles for every
-    order at each nutation angle, built once per (spin, angles) into one shared PulseSet.
+    order at nutation angles pi/2 and pi/4, built once per spin into one shared PulseSet.
 
     Two nutation angles are required: an exact pi/2 pulse is blind to the
     tensor components whose reduced rotation elements d^L_{+-1,m}(pi/2)
     vanish (e.g. rank 2, m = 0), so a second angle fills those in.
     """
-    return _pulse_cycles(sys, tuple(require_real(a, "nutation angle") for a in nutation_angles))
-
-
-@lru_cache(maxsize=4)
-def _pulse_cycles(sys: SpinSystem, nutation_angles: tuple) -> PulseSet:
-    n = round(2 * sys.I)
+    n, angles = round(2 * sys.I), (np.pi / 2, np.pi / 4)
     return PulseSet([zero_order_cycle(sys)] + [
-        coherence_cycle(sys, q, theta) for theta in nutation_angles for q in range(-n, n + 1)])
+        coherence_cycle(sys, q, theta) for theta in angles for q in range(-n, n + 1)])
 
 
 def _cycle_angles(cycle, where: str) -> np.ndarray:
@@ -316,10 +312,9 @@ def reconstruct(design: DesignSystem, B: np.ndarray, sys: SpinSystem):
     return rho, info
 
 
-def reconstruction_record(sys: SpinSystem, rho, info, target=None,
-                          noise_settings=None) -> dict:
-    """JSON-serializable record of one reconstruction."""
-    rec = {
+def reconstruction_record(sys: SpinSystem, rho, info, target, noise_settings=None) -> dict:
+    """JSON-serializable record of one reconstruction, scored against the target state."""
+    return {
         "spin": sys.I,
         "coefficients": {f"{L},{m}": [c.real, c.imag]
                          for (L, m), c in info["coefficients"].items()},
@@ -329,7 +324,5 @@ def reconstruction_record(sys: SpinSystem, rho, info, target=None,
         "condition_number": info["condition_number"],
         "ill_conditioned": info["ill_conditioned"],
         "noise": noise_settings or {},
+        "fidelity_vs_target": fidelity(rho, target),
     }
-    if target is not None:
-        rec["fidelity_vs_target"] = fidelity(rho, target)
-    return rec

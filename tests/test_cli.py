@@ -346,8 +346,7 @@ def test_cli_presets_list(capsys):
         assert name in out
 
 
-@pytest.mark.parametrize("field", ["varphi", "vartheta", "nu_Q", "epsilon",
-                                   "noise_sigma"])
+@pytest.mark.parametrize("field", ["varphi", "vartheta", "nu_Q", "noise_sigma"])
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_number_exit_code(tmp_path, capsys, field, literal):
     p = tmp_path / "cfg.json"
@@ -429,7 +428,7 @@ def test_cli_run_invalid_config_exit_code(tmp_path, capsys):
 
 def _half_pi_pulse_set(sys):
     # a pi/2 pulse is blind to T_20, so this set leaves the design one rank short
-    return tomography.pulse_set(sys, nutation_angles=(np.pi / 2,))
+    return tomography.pulse_set(sys)[:2 * sys.d]   # the zero-order cycle and the pi/2 cycles
 
 
 def _svd_fails(*args):

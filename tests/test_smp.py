@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import spincat.smp
+from spincat.cli import main
 from spincat.dynamics import NmrParams
 from spincat.smp import PulseSegment, PulseSequence, objective_for_test, optimize_smp
 from spincat.spin_ops import SpinSystem, angular_momentum
@@ -73,11 +74,11 @@ def test_simulation_preserves_trace_and_norm():
 def test_single_segment_analytic_recovery():
     # without the quadrupolar term the optimum of a one-segment rotation of
     # Iz toward the +x coherent deviation is a pi/2 rotation: omega dt = pi/2
+    # (pi/2) / 6 us is 0.833 of the amplitude cap, inside the bound
     target = coherent_state(SYS, np.pi / 2, 0.0)
-    dt = 5e-6
+    dt = 6e-6
     res = optimize_smp(SYS, NO_Q, target, n_segments=1, delta_t=dt,
-                       n_variants=1, n_starts=2, seed=3,
-                       amplitude_cap=2 * np.pi * 60e3)
+                       n_variants=1, n_starts=2, seed=3)
     seg = res.variants[0].segments[0]
     assert abs(seg.omega * dt - np.pi / 2) < 0.01 * (np.pi / 2)
 
@@ -221,7 +222,7 @@ def test_optimizer_and_hook_agree_with_rf_term():
     nmr = NmrParams(0.0, 0.0, 2 * np.pi * NU_Q, omega_1=2 * np.pi * 5e3, upsilon=0.3)
     target = coherent_state(SYS, np.pi / 2, 0.0)
     res = optimize_smp(SYS, nmr, target, n_segments=5, delta_t=0.5e-6,
-                       budget=0, n_variants=2, seed=12)
+                       budget=1, n_variants=2, seed=12)
     f, _ = objective_for_test(SYS, nmr, target, point_of(res.variants), 0.5e-6, 2, 5)
     assert abs(res.fidelity + f) < 1e-12
 
@@ -248,7 +249,7 @@ def test_optimizer_spends_exact_budget(budget):
     assert abs(res.fidelity + res.history[-1]) < 1e-12
 
 
-@pytest.mark.parametrize("budget", [0, 300])
+@pytest.mark.parametrize("budget", [1, 300])
 def test_start_point_evaluated_once(monkeypatch, budget):
     points = []
     objective = spincat.smp._objective_and_gradient
@@ -261,7 +262,7 @@ def test_start_point_evaluated_once(monkeypatch, budget):
     target = coherent_state(SYS, np.pi / 2, 0.0)
     optimize_smp(SYS, NMR, target, n_segments=6, delta_t=0.5e-6,
                  budget=budget, n_variants=2, seed=0)
-    assert len(points) == max(1, budget)
+    assert len(points) == budget
     assert sum(np.array_equal(p, points[0]) for p in points) == 1
 
 
@@ -284,14 +285,18 @@ def test_optimizer_records_each_start(budget):
         assert all(s["message"].startswith("CONVERGENCE") for s in res.starts)
 
 
-def test_budget_zero_returns_initial_guess():
+def test_retired_values_are_refused(tmp_path, capsys):
+    # no stage reads the polarization epsilon, so a config that sets it names an unknown key;
+    # and the optimizer spends at least one evaluation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spin": 1.5, "nu_Q": 15220.0, "p": 1, "checkpoints": [1, 2],
+                               "epsilon": 4.26e-6}))
+    for args in (["validate"], ["run", "--out", str(tmp_path / "x")]):
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert "unknown key 'epsilon'" in capsys.readouterr().err
     target = coherent_state(SYS, np.pi / 2, 0.0)
-    res = optimize_smp(SYS, NMR, target, n_segments=5, delta_t=0.5e-6,
-                       budget=0, n_variants=2, seed=12)
-    assert len(res.variants) == 2
-    assert all(len(v.segments) == 5 for v in res.variants)
-    assert res.fidelity < 0.99  # random guess, evaluated but not optimized
-    assert res.starts == []     # no L-BFGS-B start ran
+    with pytest.raises(ValueError, match=re.escape("budget must be an integer >= 1, got 0")):
+        optimize_smp(SYS, NMR, target, n_segments=5, delta_t=0.5e-6, budget=0)
 
 
 def test_temporal_average_contracts():
@@ -336,6 +341,11 @@ def test_from_json_refuses_malformed_segment_by_name():
     for text in ("{}", "[]", '{"segments": 3}'):
         with pytest.raises(ValueError, match='a JSON object with a "segments" list'):
             PulseSequence.from_json(text)
+    # metadata is a JSON object or missing, never another JSON type
+    for metadata in (5, None, [1]):
+        with pytest.raises(ValueError, match='"metadata" is a JSON object'):
+            PulseSequence.from_json(json.dumps({"segments": [good], "metadata": metadata}))
+    assert PulseSequence.from_json(json.dumps({"segments": [good]})).metadata == {}
 
 
 def test_optimizer_input_validation(monkeypatch):
@@ -345,13 +355,7 @@ def test_optimizer_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         optimize_smp(SYS, NMR, target, n_segments=5, delta_t=1e-6, n_variants=0)
     with pytest.raises(ValueError):
-        optimize_smp(SYS, NMR, target, n_segments=5, delta_t=1e-6,
-                     amplitude_cap=0.0)
-    with pytest.raises(ValueError):
         optimize_smp(SYS, NMR, target, n_segments=5, delta_t=1e-6, budget=-1)
-    with pytest.raises(ValueError, match="amplitude_cap"):
-        optimize_smp(SYS, NMR, target, n_segments=5, delta_t=1e-6,
-                     amplitude_cap=float("nan"))
     for delta_t in (float("nan"), -1e-6, 0.0):
         with pytest.raises(ValueError, match="delta_t"):
             optimize_smp(SYS, NMR, target, n_segments=5, delta_t=delta_t)

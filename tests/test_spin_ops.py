@@ -420,7 +420,6 @@ REAL_SITES = {
     "segment_omega": ("omega", 1, -1.0, lambda v: PulseSegment(v, 0.0, 1e-6)),
     "segment_phase": ("phase", 1, None, lambda v: PulseSegment(1.0, v, 1e-6)),
     "segment_duration": ("duration", 1, 0.0, lambda v: PulseSegment(1.0, 0.0, v)),
-    "smp_amplitude_cap": ("amplitude_cap", 1, 0.0, lambda v: smp_fidelity(amplitude_cap=v)),
     "smp_delta_t": ("delta_t", 1, -1e-6, lambda v: smp_fidelity(delta_t=v)),
     "measure_noise_sigma": ("noise_sigma", 1, -0.5, lambda v: measure(
         SYS, RHO, pulse_set(SYS), NMR, noise_sigma=v, seed=3)),

@@ -264,19 +264,19 @@ def test_noisy_measure_divides_by_root_pulse_counts(mode):
 
 
 def test_pulse_set_is_one_immutable_handle():
-    # the pulses are built once per (spin, angles) into one PulseSet that every call shares
+    # the pulses are built once per spin into one PulseSet that every call shares
     first = pulse_set(SYS)
     want = [zero_order_cycle(SYS)] + [coherence_cycle(SYS, q, theta)
                                       for theta in (np.pi / 2, np.pi / 4) for q in range(-3, 4)]
     assert type(first) is PulseSet and first == tuple(map(tuple, want))
     assert all(type(cycle) is tuple for cycle in first)
     assert pulse_set(SYS) is first and PulseSet(first) is first
-    assert pulse_set(SYS, (np.pi / 2, np.pi / 4)) is first
     with pytest.raises(TypeError):
         first[1] = first[2]
     with pytest.raises(AttributeError):
         first[0].append(TomographyPulse(0.1, 0.2, 0.3))
-    assert pulse_set(SYS, [np.pi / 2]) == tuple(map(tuple, want[:8]))
+    with pytest.raises(TypeError, match=re.escape("pulse_set() takes 1 positional argument")):
+        pulse_set(SYS, 0.5)
     assert hash(PulseSet(want)) == hash(first) and PulseSet(want) == first
 
 
@@ -291,7 +291,7 @@ def test_one_pulse_set_is_built_once(monkeypatch):
         return new(cls, cycles)
 
     monkeypatch.setattr(PulseSet, "__new__", counting_new)
-    tomography._pulse_cycles.cache_clear()
+    pulse_set.cache_clear()
     cycles = pulse_set(SYS)
     assert len(built) == 1
     rho = random_density(np.random.default_rng(19))
@@ -452,11 +452,8 @@ def test_malformed_pulse_is_refused_by_name(case):
 
 
 def test_bool_angle_is_refused_after_an_equal_float_set():
-    # True == 1.0 and hashes alike, so neither cache may answer a bool angle with the set or
-    # the design it holds for 1.0: pulse_set's angles and a list-built set are read first
-    pulse_set(SYS, (1.0, np.pi / 4))
-    with pytest.raises(ValueError, match="nutation angle must be finite"):
-        pulse_set(SYS, (True, np.pi / 4))
+    # True == 1.0 and hashes alike, so the design cache may not answer a bool angle with the
+    # design it holds for 1.0: a list-built set is read first
     build_design_matrix(SYS, list(pulse_set(SYS)) + [[TomographyPulse(1.0, 0.2, 0.0)]], NMR)
     cycles = list(pulse_set(SYS)) + [[TomographyPulse(True, 0.2, 0.0)]]
     for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
@@ -592,7 +589,7 @@ def test_rank_error_names_dense_null_keys(cycle_set, mode, spin):
     sys = SpinSystem(spin)
     twoI = sys.d - 1
     cycles = {
-        "pi/2 only": pulse_set(sys, nutation_angles=(np.pi / 2,)),
+        "pi/2 only": pulse_set(sys)[:2 * sys.d],
         "no order 1": [zero_order_cycle(sys)] + [coherence_cycle(sys, q, theta) for theta in
                                                  (np.pi / 2, np.pi / 4)
                                                  for q in range(-twoI, twoI + 1) if q != 1],
