@@ -44,6 +44,13 @@ class PulseSequence:
     segments: list
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.segments = list(self.segments)   # read once, so a generator of segments is kept
+        if bad := [k for k, s in enumerate(self.segments) if not isinstance(s, PulseSegment)]:
+            raise ValueError(f"segment {bad[0]} is not a PulseSegment: {self.segments[bad[0]]!r}")
+        if not isinstance(self.metadata, dict):
+            raise ValueError(f'a sequence\'s "metadata" is a JSON object, not {self.metadata!r}')
+
     def to_json(self) -> str:
         """Spectrometer-style interchange format: amplitudes in Hz, phases
         in degrees, durations in microseconds."""
@@ -64,15 +71,13 @@ class PulseSequence:
         payload, segs = json.loads(text), []
         if not (isinstance(payload, dict) and isinstance(payload.get("segments"), list)):
             raise ValueError('a pulse sequence is a JSON object with a "segments" list')
-        if not isinstance(metadata := payload.get("metadata", {}), dict):
-            raise ValueError(f'a pulse sequence\'s "metadata" is a JSON object, not {metadata!r}')
         for k, s in enumerate(payload["segments"]):
             if missing := [key for _, key, _ in _FIELDS if not isinstance(s, dict) or key not in s]:
                 raise ValueError(f"segment {k} has no {missing[0]!r}")
             hz, deg, us = (require_real(s[key], f"segment {k} {key}", **bound)
                            for _, key, bound in _FIELDS)
             segs.append(PulseSegment(2 * np.pi * hz, np.radians(deg), us * 1e-6))
-        return cls(segs, metadata)
+        return cls(segs, payload.get("metadata", {}))
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,15 @@ Reson. 58, 370 (1984)), so A is block-diagonal: cycles and orders linked through
 span one block, T_00 another with the trace row.  For `pulse_set` each order Q != 0 (mod 4)
 is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 4I + 2 -
 2 floor(I/2) blocks in all.  Each pulse set is compiled and factored once, block by block, and
-`measure` applies the same blocks to rho's tensor coefficients.  A pulse set is one immutable
-PulseSet, hashed once and the key of its design: `pulse_set` hands out one shared PulseSet per
-spin, and any other list or tuple of cycles is wrapped into one per call.
+`measure` applies the same blocks to rho's tensor coefficients; a design's key is its PulseSet.
 
 "fid" mode reads the lines after the receiver-protection delay 1/nu_Q, in which the line at
 (nu_Q/2)(2m+1) turns through pi(2m+1): every line gain times (-1)^d, at every nu_Q, so no map
 reads the NMR parameters.  No free induction decay is sampled or fitted.
 """
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -115,22 +111,21 @@ def coherence_cycle(sys: SpinSystem, q: int, theta: float):
 
 
 class PulseSet(tuple):
-    """An immutable pulse set, the handle its compiled design is cached under: a tuple of
-    cycles, each a tuple of pulses, hashed once when built.  PulseSet(ps) is ps itself.  Its
-    angles are ints and floats, whose == is their value's (True == 1.0): `_cycle_angles` reads
-    any other angle as a float, or refuses it by name, before the set is a key."""
+    """An immutable pulse set, the key its design is cached under: a tuple of cycles, each read
+    once by `_cycle_angles` into a tuple of TomographyPulses of floats (so a bool angle, though
+    True == 1.0, is refused by name), and hashed once.  PulseSet(ps) is ps itself."""
 
     def __new__(cls, cycles):
         if type(cycles) is cls:
             return cycles
-        self = super().__new__(cls, map(tuple, cycles))
-        with suppress(TypeError):   # a scalar pulse has no angles, a list pulse no hash
-            angles = chain.from_iterable(chain.from_iterable(self))
-            if set(map(type, angles)) <= {float, int, np.float64}:
-                self._hash = tuple.__hash__(self)
-                return self
-        return cls(tuple(map(TomographyPulse._make, _cycle_angles(cycle, f"cycle {c}").tolist()))
-                   for c, cycle in enumerate(self))
+        if not np.iterable(cycles):
+            raise ValueError(f"the pulse set is not a sequence of cycles: {cycles!r}")
+        self = super().__new__(cls, (_cycle_angles(cycle, f"cycle {c}")
+                                     for c, cycle in enumerate(cycles)))
+        if not self:
+            raise ValueError("the pulse set has no cycles")
+        self._hash = tuple.__hash__(self)
+        return self
 
     def __hash__(self):
         return self._hash
@@ -150,16 +145,18 @@ def pulse_set(sys: SpinSystem) -> PulseSet:
         coherence_cycle(sys, q, theta) for theta in angles for q in range(-n, n + 1)])
 
 
-def _cycle_angles(cycle, where: str) -> np.ndarray:
-    """A cycle's (n >= 1, 3) float angles; a pulse is a tuple of 3 finite reals, else ValueError."""
-    if not cycle:
+def _cycle_angles(cycle, where: str) -> tuple:
+    """A cycle as n >= 1 float TomographyPulses; a pulse is 3 finite reals, else ValueError."""
+    if not np.iterable(cycle):
+        raise ValueError(f"{where} is not a sequence of pulses: {cycle!r}")
+    if not (cycle := tuple(cycle)):   # an iterator is read once
         raise ValueError(f"{where} has no pulses")
     if bad := [k for k, p in enumerate(cycle) if not (isinstance(p, tuple) and len(p) == 3)]:
         raise ValueError(f"{where}: pulse {bad[0]} is not a tuple of 3 angles: {cycle[bad[0]]!r}")
     angles = np.array([_real(a) for pulse in cycle for a in pulse]).reshape(-1, 3)
     for k, a in zip(*np.nonzero(~np.isfinite(angles))):   # the first angle that is not a real
         require_real(cycle[k][a], f"{where}: pulse {k} {TomographyPulse._fields[a]}")
-    return angles
+    return tuple(map(TomographyPulse._make, angles.tolist()))
 
 
 def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
@@ -179,10 +176,7 @@ def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
     rank (sigma > SVD_CUTOFF sigma_max, padding adds sigma ~ 1e-16 sigma_max), the conditioning,
     the block pseudo-inverses (P, cols, rows) and the weak keys, outside the span of the kept
     right singular vectors.  Phase sums below 1e-12 are exact zeros, as sums of roots of unity."""
-    gG = _line_gains(sys, mode)
-    if not cycles:
-        raise ValueError("the pulse set has no cycles")
-    pulses = [_cycle_angles(cycle, f"cycle {c}") for c, cycle in enumerate(cycles)]
+    gG, pulses = _line_gains(sys, mode), [np.array(cycle) for cycle in cycles]
     (band, _, K, Q, _), d, i = tensor_band(sys), sys.d, np.arange(sys.d)
     orders = np.arange(1 - d, d)
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
@@ -267,7 +261,7 @@ def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,
     noise_sigma is a fraction of the largest noise-free line over the whole set.  Every acquired
     spectrum carries complex Gaussian noise of that deviation per line, so a cycle of N pulses
     carries noise_sigma / design.sqrt_pulses: one default_rng(seed) draw per cycle line, in order.
-    cycles is a PulseSet, or cycles to wrap into one.  No map depends on nmr (module
+    cycles is a PulseSet, or cycles to read into one.  No map depends on nmr (module
     docstring); it stays because callers, perfbench among them, pass it by position.
     """
     require_hermitian(rho, "density matrix")

@@ -326,6 +326,19 @@ def test_json_roundtrip():
     assert back.metadata == seq.metadata
 
 
+def test_pulse_sequence_built_directly_is_checked():
+    # PulseSequence itself refuses what to_json could not write or from_json would refuse
+    seg = PulseSegment(1.0, 0.0, 1e-6)
+    for segments, metadata, says in (([seg], 5, '"metadata" is a JSON object, not 5'),
+                                     ([seg], None, '"metadata" is a JSON object, not None'),
+                                     ([1.0], {}, "segment 0 is not a PulseSegment: 1.0"),
+                                     ([seg, {"omega": 1.0}], {}, "segment 1 is not a Pulse")):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            PulseSequence(segments, metadata)
+    assert PulseSequence([seg]).metadata == {}
+    assert PulseSequence(s for s in (seg, seg)).segments == [seg, seg]   # read once, kept
+
+
 def test_from_json_refuses_malformed_segment_by_name():
     # outside input: a bool is no amplitude, and a string, null or missing field is named,
     # not taken as 1 Hz or failed in numpy, in float arithmetic or with a bare KeyError

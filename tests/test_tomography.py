@@ -152,8 +152,8 @@ def test_fid_mode_defaults_and_consistency():
 
 
 def test_fid_mode_with_decay():
-    # the recorded decay is fitted back to the amplitudes at the start of
-    # acquisition, so T2 drops out and the cat-state lines come back intact
+    # after the delay 1/nu_Q each cat-state line is the coherence-mode line times (-1)^d:
+    # +1 at half-integer spin, -1 at integer spin
     for spin, factor in ((1.5, 1.0), (2.0, -1.0)):
         sys = SpinSystem(spin)
         pulse = zero_order_cycle(sys)[1]
@@ -173,8 +173,8 @@ def test_run_tomography_pipeline(design):
 
 
 def test_fid_mode_aliased_lines_reconstruct():
-    # at nu_Q = 1/(2 dwell), dwell = 12 us, the +nu_Q and -nu_Q lines alias in the
-    # sampled decay; the detected amplitudes still determine rho
+    # at nu_Q = 1/(2 x 12 us) fid mode reads each line with the sign (-1)^d, which depends on
+    # no nu_Q, so the fid-mode design still determines rho
     nmr = NmrParams(0.0, 0.0, 2 * np.pi / (2 * 12e-6))
     rho, cycles = random_density(np.random.default_rng(7)), pulse_set(SYS)
     B = measure(SYS, rho, cycles, nmr, mode="fid")
@@ -449,6 +449,33 @@ def test_malformed_pulse_is_refused_by_name(case):
                  lambda: build_design_matrix(SYS, cycles, NMR)):
         with pytest.raises(ValueError, match=re.escape(f"cycle 15: {says}")):
             call()
+
+
+def test_pulse_set_or_cycle_that_is_not_a_sequence_is_refused_by_name():
+    # a number in place of the set or of a cycle is named, not a bare "'int' object is not
+    # iterable"; a cycle given as an iterator is read once, into the cycle it yields
+    for cycles, says in ((5, "the pulse set is not a sequence of cycles: 5"),
+                         ([5], "cycle 0 is not a sequence of pulses: 5"),
+                         (list(pulse_set(SYS)) + [0.5], "cycle 15 is not a sequence of pulses")):
+        for call in (lambda: measure(SYS, np.eye(4) / 4, cycles, NMR),
+                     lambda: build_design_matrix(SYS, cycles, NMR)):
+            with pytest.raises(ValueError, match=re.escape(says)):
+                call()
+    read = PulseSet(iter([iter(cycle) for cycle in pulse_set(SYS)]))
+    assert read == pulse_set(SYS) and hash(read) == hash(pulse_set(SYS))
+
+
+def test_pulse_set_holds_only_float_angles():
+    # every PulseSet reads its angles once, into TomographyPulses of floats: an int, a numpy
+    # scalar or a plain tuple is not kept as given
+    sets = [PulseSet(list(pulse_set(SYS)) + [[(1, 0, 2)]]),
+            PulseSet([[(np.float64(0.5), np.int64(1), 2.0)], [TomographyPulse(1, 0.3, 0)]])]
+    sets += [pulse_set(SpinSystem(spin)) for spin in (1.5, 2.0, 3.5)]
+    for ps in sets:
+        assert all(type(cycle) is tuple for cycle in ps)
+        assert {type(pulse) for cycle in ps for pulse in cycle} == {TomographyPulse}
+        assert {type(a) for cycle in ps for pulse in cycle for a in pulse} == {float}
+    assert sets[0][-1] == ((1.0, 0.0, 2.0),) and sets[1][0] == ((0.5, 1.0, 2.0),)
 
 
 def test_bool_angle_is_refused_after_an_equal_float_set():
