@@ -16,27 +16,23 @@ from .states import coherent_state
 
 @dataclass(frozen=True)
 class NmrParams:
-    """Rotating-frame parameters: Larmor, carrier, quadrupolar and RF
-    angular frequencies (rad/s) plus the RF phase upsilon (rad)."""
+    """Rotating-frame parameters: Larmor, carrier and quadrupolar angular frequencies (rad/s).
+    The RF field is no parameter: an SMP segment carries its own amplitude and phase."""
 
     omega_L: float
     omega_RF: float
     omega_Q: float
-    omega_1: float = 0.0
-    upsilon: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega_L", "omega_RF", "omega_Q", "omega_1", "upsilon"):
+        for name in ("omega_L", "omega_RF", "omega_Q"):
             object.__setattr__(self, name, require_real(getattr(self, name), name))
 
 
 def nmr_hamiltonian(sys: SpinSystem, params: NmrParams) -> np.ndarray:
-    """-(wL-wRF) Iz + (wQ/6)(3 Iz^2 - I^2) + w1 (Ix cos v + Iy sin v)."""
+    """The RF-free rotating-frame Hamiltonian -(wL-wRF) Iz + (wQ/6)(3 Iz^2 - I^2), diagonal."""
     ops = angular_momentum(sys)
     return (-(params.omega_L - params.omega_RF) * ops.Iz
-            + params.omega_Q / 6 * (3 * ops.Iz @ ops.Iz - ops.Isq)
-            + params.omega_1 * (ops.Ix * np.cos(params.upsilon)
-                                + ops.Iy * np.sin(params.upsilon)))
+            + params.omega_Q / 6 * (3 * ops.Iz @ ops.Iz - ops.Isq))
 
 
 def effective_hamiltonian(sys: SpinSystem, omega_Q: float, p: int) -> np.ndarray:

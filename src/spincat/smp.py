@@ -1,9 +1,9 @@
 """Numerical design of strongly modulating pulses.
 
 A pulse sequence is a chain of piecewise-constant RF segments; each
-segment evolves the system under the full rotating-frame Hamiltonian
-with the segment's amplitude and phase (a zero-amplitude segment is a
-free-evolution delay).  The optimizer tunes several independent
+segment evolves the system under the RF-free `nmr_hamiltonian` plus its
+own RF term w (Ix cos phi + Iy sin phi), which only the segments carry
+(a zero-amplitude segment is a free-evolution delay).  The optimizer tunes several independent
 modulations at once and scores the temporal average of the evolved
 deviation matrices against the traceless target deviation: averaging
 over modulations is what lets a set of unitaries turn the equilibrium
@@ -45,6 +45,8 @@ class PulseSequence:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.iterable(self.segments):
+            raise ValueError(f"the segments are not a sequence of PulseSegments: {self.segments!r}")
         self.segments = list(self.segments)   # read once, so a generator of segments is kept
         if bad := [k for k, s in enumerate(self.segments) if not isinstance(s, PulseSegment)]:
             raise ValueError(f"segment {bad[0]} is not a PulseSegment: {self.segments[bad[0]]!r}")
@@ -126,15 +128,14 @@ def _objective_and_gradient(x, H_static, ops, target, dt, n_variants, n_seg):
 
 
 def _problem(sys, nmr, target_state):
-    """(H_static, ops, target): H_static leaves out the RF term, so it is diagonal
-    and commutes with Iz, as the propagators' phase rule needs; target is the
+    """(H_static, ops, target): H_static, `nmr_hamiltonian`, has no RF term, so it is
+    diagonal and commutes with Iz, as the propagators' phase rule needs; target is the
     target state's deviation."""
     if not (np.shape(target_state) == (sys.d,) and np.isfinite(target_state).all()
             and np.any(target_state)):
         raise ValueError(f"target_state must be a finite, nonzero vector of length {sys.d}")
     ops = angular_momentum(sys)
-    H_static = nmr_hamiltonian(sys, NmrParams(nmr.omega_L, nmr.omega_RF, nmr.omega_Q))
-    return H_static, ops, traceless_part(projector(target_state))
+    return nmr_hamiltonian(sys, nmr), ops, traceless_part(projector(target_state))
 
 
 class _BudgetSpent(Exception):
@@ -152,7 +153,7 @@ class SmpResult:
 
 def objective_for_test(sys, nmr, target_state, x, delta_t, n_variants, n_seg):
     """The objective and gradient optimize_smp minimises, exposed for
-    finite-difference checks; x carries the RF, so nmr's RF term is ignored."""
+    finite-difference checks; x carries each segment's RF amplitude and phase."""
     return _objective_and_gradient(np.asarray(x, float), *_problem(sys, nmr, target_state),
                                    delta_t, n_variants, n_seg)
 

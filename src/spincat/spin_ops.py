@@ -254,8 +254,7 @@ def rotation_operator(sys: SpinSystem, alpha: float, beta: float, gamma: float) 
     """Euler rotation exp(-i alpha Iz) exp(-i beta Iy) exp(-i gamma Iz)."""
     alpha, beta, gamma = map(require_real, (alpha, beta, gamma), ("alpha", "beta", "gamma"))
     ms = sys.m_values
-    Ry = expm_hermitian(angular_momentum(sys).Iy, beta)
-    return np.exp(-1j * (alpha * ms[:, None] + gamma * ms)) * Ry
+    return np.exp(-1j * (alpha * ms[:, None] + gamma * ms)) * reduced_wigner_d(sys.I, beta)
 
 
 def euler_rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:

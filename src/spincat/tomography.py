@@ -19,10 +19,12 @@ span one block, T_00 another with the trace row.  For `pulse_set` each order Q !
 is a block and the orders Q = 0 (mod 4) with the zero-order quadruple one more, 4I + 2 -
 2 floor(I/2) blocks in all.  Each pulse set is compiled and factored once, block by block, and
 `measure` applies the same blocks to rho's tensor coefficients; a design's key is its PulseSet.
+A spectrum (`synthesize_spectrum`) is the uncached map of its one-pulse cycle.
 
 "fid" mode reads the lines after the receiver-protection delay 1/nu_Q, in which the line at
 (nu_Q/2)(2m+1) turns through pi(2m+1): every line gain times (-1)^d, at every nu_Q, so no map
-reads the NMR parameters.  No free induction decay is sampled or fitted.
+reads the NMR parameters; only a spectrum's line frequencies do.  No free induction decay is
+sampled or fitted.
 """
 
 from dataclasses import dataclass
@@ -159,25 +161,16 @@ def _cycle_angles(cycle, where: str) -> tuple:
     return tuple(map(TomographyPulse._make, angles.tolist()))
 
 
-def _line_gains(sys: SpinSystem, mode: str) -> np.ndarray:
-    """gG[j, K] = g_j (T_K,-1)_{j+1,j}, 0 at K = 0: g the I+ gain, times (-1)^d in fid mode."""
+def _compile(sys: SpinSystem, cycles, mode: str) -> tuple:
+    """A pulse set's map (module docstring) as (stacks, n_rows), stacks (M, rows, cols) of its
+    zero-padded diagonal blocks, all but the widest and the widest; padding points at a spare
+    entry past the end.  Phase sums below 1e-12 are exact zeros, as sums of roots of unity."""
     if mode not in ("coherence", "fid"):
         raise ValueError(f"unknown mode {mode!r}")
-    gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (sys.d * (mode == "fid"))
-    return gain[:, None] * tensor_band(sys)[0][sys.d - 2, :, 1:].T   # Q = -1, rows 1..2I
-
-
-@lru_cache(maxsize=4)
-def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
-    """A pulse set's map (module docstring), compiled and factored once per (spin, cycles,
-    mode) into a read-only DesignSystem, whatever its rank.  The stacks
-    (M, rows, cols) zero-pad its diagonal blocks: every block but the widest, and the widest;
-    padded rows and columns point at a spare entry past the end.  One SVD per stack gives the
-    rank (sigma > SVD_CUTOFF sigma_max, padding adds sigma ~ 1e-16 sigma_max), the conditioning,
-    the block pseudo-inverses (P, cols, rows) and the weak keys, outside the span of the kept
-    right singular vectors.  Phase sums below 1e-12 are exact zeros, as sums of roots of unity."""
-    gG, pulses = _line_gains(sys, mode), [np.array(cycle) for cycle in cycles]
     (band, _, K, Q, _), d, i = tensor_band(sys), sys.d, np.arange(sys.d)
+    # gG[j, K] = g_j (T_K,-1)_{j+1,j}, 0 at K = 0: g the I+ gain, times (-1)^d in fid mode
+    gain = np.diagonal(angular_momentum(sys).Iplus, 1) * (-1.0) ** (d * (mode == "fid"))
+    gG, pulses = gain[:, None] * band[d - 2, :, 1:].T, [np.array(cycle) for cycle in cycles]
     orders = np.arange(1 - d, d)
     angles = sorted(set(np.concatenate(pulses)[:, 0]))  # np.unique imports numpy.ma
     S = np.zeros((len(pulses), len(angles), len(orders)), dtype=complex)
@@ -209,11 +202,20 @@ def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
         for k, (rb, cb, Mb) in enumerate(group):
             rows[k, :len(rb)], cols[k, :len(cb)], M[k, :len(rb), :len(cb)] = rb, cb, Mb
         stacks.append((M, rows, cols))
-    del blocks, group, Mb   # free the unpadded blocks before the SVDs: 11 MB of peak at I = 20
+    return stacks, n_rows
+
+
+@lru_cache(maxsize=4)
+def _closed_form(sys: SpinSystem, cycles, mode: str) -> DesignSystem:
+    """`_compile`'s map, factored once per (spin, cycles, mode) into a read-only DesignSystem,
+    whatever its rank: one SVD per stack gives the rank (sigma > SVD_CUTOFF sigma_max; padding
+    adds sigma ~ 1e-16 sigma_max), conditioning, block pseudo-inverses (P, cols, rows) and weak
+    keys, outside the span of the kept right singular vectors."""
+    stacks, n_rows = _compile(sys, cycles, mode)
     runs = [np.linalg.svd(M, full_matrices=False) for M, _, _ in stacks]
     top = max(s.max() for _, s, _ in runs)
     keep = [s > SVD_CUTOFF * top for _, s, _ in runs]
-    solve, weak = [], np.zeros(len(K) + 1, dtype=bool)
+    solve, weak = [], np.zeros(sys.d ** 2 + 1, dtype=bool)
     for (U, s, Vh), k, (_, rows, cols) in zip(runs, keep, stacks):
         inv = np.divide(1, s, out=np.zeros_like(s), where=k)
         solve.append(((Vh.conj().transpose(0, 2, 1) * inv[:, None]) @ U.conj().transpose(0, 2, 1),
@@ -240,18 +242,15 @@ def _apply(stacks, x: np.ndarray, n: int) -> np.ndarray:
 
 def synthesize_spectrum(sys: SpinSystem, rho: np.ndarray, pulse: TomographyPulse,
                         nmr: NmrParams, mode: str = "coherence") -> SpectrumLines:
-    """Line spectrum observed after one tomography pulse.
-
-    "coherence" mode reads the single-quantum coherences directly; "fid" mode reads them at the
-    start of acquisition, after the pre-acquisition delay 1/nu_Q.  Line j, at (nu_Q/2)(2m+1)
-    between m+1 and m, is sum_KQ gG[j, K] e^{i(alpha + (phi - pi/2)(1 + Q))} d^K_{-1,Q}(theta) c_KQ.
-    """
+    """Line spectrum after one tomography pulse: the compiled map (`_compile`) of its one-pulse
+    cycle applied to rho, less the trace row, in "coherence" or "fid" mode (module docstring).
+    Line j, between m+1 and m, sits at (E_{m+1} - E_m) / 2 pi of `nmr_hamiltonian`,
+    (nu_Q/2)(2m+1) - (omega_L - omega_RF) / 2 pi."""
     require_hermitian(rho, "density matrix")
-    gG, ((theta, phi, alpha),) = _line_gains(sys, mode), _cycle_angles((pulse,), "the spectrum")
-    (_, _, K, Q, _), twoI = tensor_band(sys), sys.d - 1
-    D = _wigner_d_rows(twoI, -1, np.array([theta]))[K, twoI + Q, 0]
-    c = np.exp(1j * (alpha + (phi - np.pi / 2) * (1 + Q))) * D * tensor_coefficients(sys, rho)
-    return SpectrumLines(nmr.omega_Q / (4 * np.pi) * (2 * sys.m_values[1:] + 1), gG[:, K] @ c)
+    stacks, n_rows = _compile(sys, (_cycle_angles((pulse,), "the spectrum"),), mode)
+    return SpectrumLines(nmr.omega_Q / (4 * np.pi) * (2 * sys.m_values[1:] + 1)
+                         - (nmr.omega_L - nmr.omega_RF) / (2 * np.pi),
+                         _apply(stacks, tensor_coefficients(sys, rho), n_rows)[:-1])
 
 
 def measure(sys: SpinSystem, rho: np.ndarray, cycles, nmr: NmrParams,

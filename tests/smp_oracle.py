@@ -1,22 +1,23 @@
 """The tests' independent model of a pulse sequence: one expm_hermitian call per segment.
 
 spincat.smp keeps one forward model, the batched eigenbasis propagators of its objective
-(`objective_for_test`).  This chain builds each segment's full rotating-frame Hamiltonian and
-exponentiates it on its own, so the objective and the optimizer's output can be checked
-against it.
+(`objective_for_test`).  This chain builds each segment's Hamiltonian, the RF-free
+`nmr_hamiltonian` plus the segment's own RF term, and exponentiates it on its own, so the
+objective and the optimizer's output can be checked against it.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
 from spincat.dynamics import NmrParams, nmr_hamiltonian
 from spincat.smp import PulseSegment, PulseSequence
-from spincat.spin_ops import SpinSystem, expm_hermitian
+from spincat.spin_ops import SpinSystem, angular_momentum, expm_hermitian
 
 
 def segment_hamiltonian(sys: SpinSystem, seg: PulseSegment, nmr: NmrParams) -> np.ndarray:
-    return nmr_hamiltonian(sys, replace(nmr, omega_1=seg.omega, upsilon=seg.phase))
+    """The RF-free Hamiltonian plus the segment's RF term w (Ix cos phi + Iy sin phi)."""
+    ops = angular_momentum(sys)
+    return nmr_hamiltonian(sys, nmr) + seg.omega * (ops.Ix * np.cos(seg.phase)
+                                                     + ops.Iy * np.sin(seg.phase))
 
 
 def sequence_propagator(sys: SpinSystem, seq: PulseSequence, nmr: NmrParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Hamiltonian builders and exact evolution."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,14 +20,13 @@ OMEGA_Q = 2 * np.pi * NU_Q
 
 
 def test_nmr_hamiltonian_terms():
+    # the offset and quadrupolar terms only: the RF term belongs to the SMP segments
     sys = SpinSystem(1.5)
     ops = angular_momentum(sys)
-    params = NmrParams(omega_L=100.0, omega_RF=30.0, omega_Q=OMEGA_Q,
-                       omega_1=5.0, upsilon=np.pi / 2)
-    H = nmr_hamiltonian(sys, params)
-    want = (-70.0 * ops.Iz + OMEGA_Q / 6 * (3 * ops.Iz @ ops.Iz - ops.Isq)
-            + 5.0 * ops.Iy)
+    H = nmr_hamiltonian(sys, NmrParams(omega_L=100.0, omega_RF=30.0, omega_Q=OMEGA_Q))
+    want = -70.0 * ops.Iz + OMEGA_Q / 6 * (3 * ops.Iz @ ops.Iz - ops.Isq)
     assert np.allclose(H, want, atol=1e-9)
+    assert [f.name for f in dataclasses.fields(NmrParams)] == ["omega_L", "omega_RF", "omega_Q"]
 
 
 def test_quadrupolar_term_traceless():

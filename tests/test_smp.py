@@ -216,17 +216,6 @@ def test_objective_off_resonance_matches_temporal_average():
     check_objective_against_temporal_average(OFF_RESONANCE)
 
 
-def test_optimizer_and_hook_agree_with_rf_term():
-    # the hook scores the objective the optimizer minimises: the RF term of
-    # nmr plays no part in either, the segments carry amplitude and phase
-    nmr = NmrParams(0.0, 0.0, 2 * np.pi * NU_Q, omega_1=2 * np.pi * 5e3, upsilon=0.3)
-    target = coherent_state(SYS, np.pi / 2, 0.0)
-    res = optimize_smp(SYS, nmr, target, n_segments=5, delta_t=0.5e-6,
-                       budget=1, n_variants=2, seed=12)
-    f, _ = objective_for_test(SYS, nmr, target, point_of(res.variants), 0.5e-6, 2, 5)
-    assert abs(res.fidelity + f) < 1e-12
-
-
 def test_optimizer_history_monotone():
     target = coherent_state(SYS, np.pi / 2, 0.0)
     res = optimize_smp(SYS, NMR, target, n_segments=6, delta_t=0.5e-6,
@@ -332,7 +321,10 @@ def test_pulse_sequence_built_directly_is_checked():
     for segments, metadata, says in (([seg], 5, '"metadata" is a JSON object, not 5'),
                                      ([seg], None, '"metadata" is a JSON object, not None'),
                                      ([1.0], {}, "segment 0 is not a PulseSegment: 1.0"),
-                                     ([seg, {"omega": 1.0}], {}, "segment 1 is not a Pulse")):
+                                     ([seg, {"omega": 1.0}], {}, "segment 1 is not a Pulse"),
+                                     (5, {}, "segments are not a sequence of PulseSegments: 5"),
+                                     (None, {}, "not a sequence of PulseSegments: None"),
+                                     (1.0, {}, "not a sequence of PulseSegments: 1.0")):
         with pytest.raises(ValueError, match=re.escape(says)):
             PulseSequence(segments, metadata)
     assert PulseSequence([seg]).metadata == {}

@@ -409,7 +409,7 @@ H_EFF = effective_hamiltonian(SYS, 1.0, 1)
 REAL_SITES = {
     **{f"nmr_{name}": (name, 1, None, lambda v, name=name: nmr_hamiltonian(
         SYS, NmrParams(**{"omega_L": 0.0, "omega_RF": 0.0, "omega_Q": 1.0, name: v})))
-       for name in ("omega_L", "omega_RF", "omega_Q", "omega_1", "upsilon")},
+       for name in ("omega_L", "omega_RF", "omega_Q")},
     "effective_hamiltonian": ("omega_Q", 1, None, lambda v: effective_hamiltonian(SYS, v, 1)),
     "atom_field_kappa": ("kappa", 1, None, lambda v: atom_field_hamiltonian(SYS, v, 3.0)),
     "atom_field_nbar": ("nbar", 1, -1.0, lambda v: atom_field_hamiltonian(SYS, 7.0, v)),

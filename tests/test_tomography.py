@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from spincat.dynamics import NmrParams
+from spincat.dynamics import NmrParams, nmr_hamiltonian
 from spincat.spin_ops import (SpinSystem, angular_momentum, from_tensor_coefficients,
                               spherical_tensor_basis, tensor_coefficients, tensor_keys,
                               tensor_stack)
@@ -45,6 +45,30 @@ def test_zero_order_cycle_verbatim():
 def test_line_frequencies():
     lines = synthesize_spectrum(SYS, np.eye(4) / 4, zero_order_cycle(SYS)[0], NMR)
     assert np.allclose(lines.frequencies, [NU_Q, 0.0, -NU_Q], atol=1e-9)
+    # with the carrier p half-splittings below the Larmor frequency, line j sits at the
+    # level difference (E_j - E_{j+1}) / 2 pi of nmr_hamiltonian, offset included
+    omega_L = 2 * np.pi * 100e3
+    for spin in (1.5, 2, 3.5):
+        sys = SpinSystem(spin)
+        for p in (1, 2):
+            nmr = NmrParams(omega_L, omega_L - p * NMR.omega_Q / 2, NMR.omega_Q)
+            E = np.diag(nmr_hamiltonian(sys, nmr)).real
+            lines = synthesize_spectrum(sys, np.eye(sys.d) / sys.d, zero_order_cycle(sys)[0], nmr)
+            assert np.allclose(lines.frequencies, -np.diff(E) / (2 * np.pi), rtol=0,
+                               atol=1e-9 * NU_Q), (spin, p)
+
+
+@pytest.mark.parametrize("mode", ["coherence", "fid"])
+@pytest.mark.parametrize("spin", [1.5, 2, 3.5])
+def test_spectrum_is_one_pulse_measurement(spin, mode):
+    # a spectrum and a one-pulse cycle's measurement read one line model
+    sys, rng = SpinSystem(spin), np.random.default_rng(int(4 * spin) + (mode == "fid"))
+    for _ in range(3):
+        pulse = TomographyPulse(*rng.uniform(0, 2 * np.pi, size=3))
+        rho = random_density(rng, sys.d)
+        lines = synthesize_spectrum(sys, rho, pulse, NMR, mode).amplitudes
+        B = measure(sys, rho, [[pulse]], NMR, mode)[:-1]
+        assert np.abs(lines - B).max() <= 1e-12 * np.abs(lines).max()
 
 
 @pytest.mark.parametrize("q", [-3, -2, -1, 0, 1, 2, 3])
